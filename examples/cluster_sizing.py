@@ -23,8 +23,7 @@ import numpy as np
 from repro.core.prediction import predict_speedup_curve
 from repro.core.speedup import SpeedupModel
 from repro.csp.problems import AllIntervalProblem, CostasArrayProblem
-from repro.engine import pick_default_backend
-from repro.multiwalk.runner import run_sequential_batch
+from repro.engine import collect_batch, pick_default_backend
 from repro.solvers import AdaptiveSearch, AdaptiveSearchConfig
 
 #: Collect both campaigns on the process backend when cores are available;
@@ -64,12 +63,12 @@ def main() -> None:
     budget = 200_000
 
     ai_solver = AdaptiveSearch(AllIntervalProblem(12), AdaptiveSearchConfig(max_iterations=budget))
-    ai_obs = run_sequential_batch(ai_solver, n_runs=150, base_seed=1, backend=BACKEND)
+    ai_obs = collect_batch(ai_solver, 150, base_seed=1, backend=BACKEND)
     analyse("ALL-INTERVAL 12 (shifted exponential regime)",
             ai_obs.values("iterations"), "shifted_exponential", "min")
 
     costas_solver = AdaptiveSearch(CostasArrayProblem(10), AdaptiveSearchConfig(max_iterations=budget))
-    costas_obs = run_sequential_batch(costas_solver, n_runs=150, base_seed=2, backend=BACKEND)
+    costas_obs = collect_batch(costas_solver, 150, base_seed=2, backend=BACKEND)
     analyse("COSTAS 10 (near-linear regime)",
             costas_obs.values("iterations"), "shifted_exponential", "zero_if_negligible")
 

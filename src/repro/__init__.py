@@ -27,7 +27,7 @@ It provides four layers:
     iteration counts on every backend.
 
 ``repro.multiwalk``
-    The parallel-execution substrate: sequential batch runners, the
+    The parallel-execution substrate: the batch container, the
     simulated independent multi-walk (minimum over blocks of independent
     runs) and a real first-finisher-wins multi-walk executor, all routed
     through ``repro.engine``.

@@ -11,12 +11,13 @@ log *replayable*: :func:`repro.campaign.orchestrator.replay_decisions`
 re-drives a saved report's stream through a fresh controller and must
 reproduce the log bit for bit.
 
-Two controllers are provided:
+Three controllers are provided:
 
 * :class:`StaticController` — plans once up front: one full-budget round of
-  exactly the stage quota, i.e. the same runs the plain (``off``) campaign
-  executes, plus the recorded plan.  The baseline the adaptive controller
-  is benchmarked against.
+  exactly the stage quota, i.e. one classic batch per stage, plus the
+  recorded plan.  The baseline the adaptive controller is benchmarked
+  against.  :class:`OffController` is the same plan under the default
+  name ``off``.
 * :class:`AdaptiveController` — re-plans after every round from streaming
   censoring-aware fits (:mod:`repro.stats.online`): it picks the restart
   cutoff minimising the empirical cost per solved run (runs censored at a
@@ -51,6 +52,7 @@ __all__ = [
     "Controller",
     "Decision",
     "DecisionLog",
+    "OffController",
     "RoundPlan",
     "StageRunRecord",
     "StaticController",
@@ -252,9 +254,8 @@ class StaticController(Controller):
     """Plan once up front, then execute it: the non-adaptive baseline.
 
     The plan is a single full-budget round of exactly the stage quota —
-    the same seeds, budgets and therefore bit-identical observations as
-    the plain ``--controller off`` campaign — so the only difference off
-    → static is that the plan and round outcomes are *recorded*.
+    the same seeds, budgets and cache address as one classic
+    :func:`repro.engine.collect_batch` call per stage.
     """
 
     name = "static"
@@ -523,17 +524,29 @@ class AdaptiveController(Controller):
         )
 
 
-def make_controller(name: str, params: Mapping[str, object] | None = None) -> Controller | None:
-    """Instantiate a controller by name (``"off"`` → ``None``).
+class OffController(StaticController):
+    """The default controller: the static plan under its own name.
+
+    Takes no parameters, so its reports record none; the orchestrator
+    serves its one round per stage from the observation cache like any
+    other round that starts a stage's seed stream.
+    """
+
+    name = "off"
+
+    def params(self) -> dict:
+        return {}
+
+
+def make_controller(name: str, params: Mapping[str, object] | None = None) -> Controller:
+    """Instantiate a controller by name.
 
     ``params`` is the :meth:`Controller.params` mapping a report recorded,
     so replay reconstructs the exact controller that produced the log.
     """
-    if name == "off":
-        if params:
-            raise ValueError("controller 'off' takes no parameters")
-        return None
-    factories = {"static": StaticController, "adaptive": AdaptiveController}
+    if name == "off" and params:
+        raise ValueError("controller 'off' takes no parameters")
+    factories = {"off": OffController, "static": StaticController, "adaptive": AdaptiveController}
     try:
         factory = factories[name]
     except KeyError:

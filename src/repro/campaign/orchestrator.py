@@ -1,18 +1,24 @@
 """The streaming campaign orchestrator.
 
-:func:`run_campaign` executes a validated stage DAG on any engine backend
-under one of three controllers:
+:func:`run_campaign` executes a validated stage DAG on any engine backend.
+Every stage runs through one control loop, :func:`_drive_stage`: the
+controller plans a round, the engine executes it, the controller observes
+the completed runs.  The controllers:
 
-* ``off`` — each stage is one classic :func:`repro.engine.collect_batch`
-  call (same solver, seeds, label and disk cache as the plain collectors),
-  so observations and summaries are byte-identical to the pre-orchestrator
-  campaign command.
-* ``static`` — the same runs, planned and recorded: one full-budget round
-  of exactly the stage quota, with the plan in the decision log.
+* ``off`` (the default) and ``static`` — one full-budget round of exactly
+  the stage quota per stage, with the plan in the decision log; the
+  observations are those of one classic :func:`repro.engine.collect_batch`
+  call (same solver, seeds and label).
 * ``adaptive`` — rounds planned live by
   :class:`repro.campaign.controller.AdaptiveController` from streaming
   censoring-aware fits: reduced-cutoff (kill-and-reseed) rounds, a
   fixed-vs-Luby cutoff schedule and predictor-driven worker allocation.
+
+A round that starts a stage's seed stream is a classic batch — ``n_runs``
+runs at one budget from the stage's seed root — so it goes through
+:func:`repro.engine.collect_batch` and the observation cache, whose key
+names the solver (budget included), the run count and the seed root.
+Later rounds extend the stream through :func:`repro.engine.iter_runs`.
 
 Two invariants hold regardless of controller:
 
@@ -33,9 +39,10 @@ Two invariants hold regardless of controller:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.campaign.controller import (
     Controller,
@@ -187,13 +194,8 @@ def _records_from_batch(batch: RuntimeObservations, budget: int) -> tuple[StageR
     )
 
 
-def _stage_report(
-    stage: StageSpec,
-    records: Sequence[StageRunRecord],
-    batch: RuntimeObservations | None = None,
-) -> StageReport:
+def _stage_report(stage: StageSpec, records: Sequence[StageRunRecord]) -> StageReport:
     return StageReport(
-        batch=batch,
         key=stage.key,
         label=stage.label,
         kind=stage.kind,
@@ -218,7 +220,6 @@ def run_campaign(
     cache: ObservationCache | str | Path | None = None,
     dry_run: bool = False,
     enforce_required: bool = True,
-    precollected: Mapping[str, RuntimeObservations] | None = None,
     decision_listener: Callable[[Decision], None] | None = None,
 ) -> CampaignReport:
     """Execute (or, with ``dry_run``, only plan) a campaign stage DAG.
@@ -229,14 +230,13 @@ def run_campaign(
         Stage specs; validated and topologically ordered before anything
         runs (declaration order wherever dependencies allow).
     controller:
-        ``"off"`` (default, byte-identical to the plain collectors),
-        ``"static"``, ``"adaptive"``, or a configured
+        ``"off"`` (default), ``"static"``, ``"adaptive"``, or a configured
         :class:`~repro.campaign.controller.Controller` instance.
     backend, workers, progress, cache:
         Engine plumbing, as for :func:`repro.engine.collect_batch`.  The
-        disk cache serves the ``off`` controller only: controller-driven
-        rounds are not classic fixed batches, so caching them under the
-        batch content address would poison it.
+        cache serves every round that starts a stage's seed stream (the
+        whole stage under ``off``/``static``, the probe round under
+        ``adaptive``).
     dry_run:
         Resolve the DAG, record every stage's static plan (seed blocks
         included) in the decision log and return — no solver runs, no
@@ -246,10 +246,6 @@ def run_campaign(
         (the observation *collectors* use this: an all-censored batch is a
         valid answer for a table, only ``campaign`` invocations enforce
         BUG-021).
-    precollected:
-        Already-collected batches keyed by stage key; matching stages are
-        reported from them instead of re-executing (the in-process memo
-        path of the collectors).  Consulted by the ``off`` controller only.
     decision_listener:
         Optional callback receiving each decision as it is appended to the
         log (the campaign service streams decision events through it).
@@ -266,21 +262,17 @@ def run_campaign(
     if not enforce_required:
         order = [dataclasses.replace(stage, required=False) for stage in order]
 
-    if isinstance(controller, Controller):
-        prototype: Controller | None = controller
-        controller_name = controller.name
-    else:
-        prototype = make_controller(controller if controller is not None else "off")
-        controller_name = controller if controller is not None else "off"
-    controller_params = {} if prototype is None else prototype.params()
+    if not isinstance(controller, Controller):
+        controller = make_controller(controller if controller is not None else "off")
+    report = functools.partial(
+        CampaignReport, controller=controller.name, controller_params=controller.params()
+    )
 
     log = DecisionLog(listener=decision_listener)
     if dry_run:
         for stage in order:
-            _log_dry_run_plan(log, stage, controller_name)
-        return CampaignReport(
-            controller=controller_name,
-            controller_params=controller_params,
+            _log_dry_run_plan(log, stage, controller.name)
+        return report(
             stages=tuple(_stage_report(stage, ()) for stage in order),
             decisions=tuple(log.decisions),
             dry_run=True,
@@ -289,86 +281,71 @@ def run_campaign(
     elastic = backend in _ELASTIC_BACKENDS
     stage_reports: list[StageReport] = []
     for stage in order:
-        batch: RuntimeObservations | None = None
-        if prototype is None:
-            if precollected is not None and stage.key in precollected:
-                batch = precollected[stage.key]
-            else:
+        start = time.perf_counter()
+
+        def fetch_round(
+            plan: RoundPlan, issued: int, stage=stage, start=start
+        ) -> Sequence[StageRunRecord]:
+            solver = stage.make_solver(plan.budget)
+            use_workers = plan.workers if elastic and plan.workers is not None else workers
+            if issued == 0:
                 batch = collect_batch(
-                    stage.make_solver(stage.budget),
-                    stage.quota,
+                    solver,
+                    plan.n_runs,
                     base_seed=stage.base_seed,
                     label=stage.label,
                     backend=backend,
-                    workers=workers,
+                    workers=use_workers,
                     progress=progress,
                     cache=cache,
                 )
-            records: Sequence[StageRunRecord] = _records_from_batch(batch, stage.budget)
-            counted = len(records)
-        else:
-            start = time.perf_counter()
-
-            def fetch_round(
-                plan: RoundPlan, issued: int, stage=stage, start=start
-            ) -> list[StageRunRecord]:
-                seeds = spawn_seeds(stage.base_seed, issued + plan.n_runs)[issued:]
-                solver = stage.make_solver(plan.budget)
-                use_workers = (
-                    plan.workers if elastic and plan.workers is not None else workers
-                )
-                results: list[RunResult | None] = [None] * plan.n_runs
-                completed = 0
-                for local, result in iter_runs(
-                    solver, seeds, backend=backend, workers=use_workers
-                ):
-                    results[local] = result
-                    completed += 1
-                    if progress is not None:
-                        progress(
-                            BatchProgress(
-                                index=issued + local,
-                                completed=issued + completed,
-                                total=issued + plan.n_runs,
-                                result=result,
-                                elapsed_seconds=time.perf_counter() - start,
-                            )
+                return _records_from_batch(batch, plan.budget)
+            seeds = spawn_seeds(stage.base_seed, issued + plan.n_runs)[issued:]
+            results: list[RunResult | None] = [None] * plan.n_runs
+            completed = 0
+            for local, result in iter_runs(
+                solver, seeds, backend=backend, workers=use_workers
+            ):
+                results[local] = result
+                completed += 1
+                if progress is not None:
+                    progress(
+                        BatchProgress(
+                            index=issued + local,
+                            completed=issued + completed,
+                            total=issued + plan.n_runs,
+                            result=result,
+                            elapsed_seconds=time.perf_counter() - start,
                         )
-                assert completed == plan.n_runs  # every backend delivers every run
-                return [
-                    StageRunRecord(
-                        index=issued + offset,
-                        seed=int(seeds[offset]),
-                        iterations=int(result.iterations),
-                        solved=bool(result.solved),
-                        budget=plan.budget,
-                        runtime_seconds=float(result.runtime_seconds),
                     )
-                    for offset, result in enumerate(results)
-                ]
+            assert completed == plan.n_runs  # every backend delivers every run
+            return [
+                StageRunRecord(
+                    index=issued + offset,
+                    seed=int(seeds[offset]),
+                    iterations=int(result.iterations),
+                    solved=bool(result.solved),
+                    budget=plan.budget,
+                    runtime_seconds=float(result.runtime_seconds),
+                )
+                for offset, result in enumerate(results)
+            ]
 
-            records = _drive_stage(stage, prototype, log, fetch_round)
-            counted = prototype.counted
-
-        failure = _finish_stage(log, stage, records, counted)
-        stage_reports.append(_stage_report(stage, records, batch))
+        records = _drive_stage(stage, controller, log, fetch_round)
+        failure = _finish_stage(log, stage, records, controller.counted)
+        stage_reports.append(_stage_report(stage, records))
         if failure is not None:
-            report = CampaignReport(
-                controller=controller_name,
-                controller_params=controller_params,
-                stages=tuple(stage_reports),
-                decisions=tuple(log.decisions),
-                failed_stage=stage.key,
-                failure_reason=failure,
+            raise CampaignError(
+                failure,
+                report(
+                    stages=tuple(stage_reports),
+                    decisions=tuple(log.decisions),
+                    failed_stage=stage.key,
+                    failure_reason=failure,
+                ),
             )
-            raise CampaignError(failure, report)
 
-    return CampaignReport(
-        controller=controller_name,
-        controller_params=controller_params,
-        stages=tuple(stage_reports),
-        decisions=tuple(log.decisions),
-    )
+    return report(stages=tuple(stage_reports), decisions=tuple(log.decisions))
 
 
 def replay_decisions(report: CampaignReport) -> list[dict]:
@@ -388,33 +365,27 @@ def replay_decisions(report: CampaignReport) -> list[dict]:
         return log.as_dicts()
     for stage in report.stages:
         records = list(stage.stream)
-        if report.controller == "off":
-            counted = len(records)
-        else:
-            controller = make_controller(report.controller, report.controller_params)
+        controller = make_controller(report.controller, report.controller_params)
 
-            def fetch_round(
-                plan: RoundPlan, issued: int, stage=stage, records=records
-            ) -> list[StageRunRecord]:
-                chunk = records[issued : issued + plan.n_runs]
-                if len(chunk) != plan.n_runs or any(
-                    r.budget != plan.budget for r in chunk
-                ):
-                    raise ReplayError(
-                        f"stage {stage.key!r}: recorded stream diverges from the "
-                        f"replayed plan at run {issued} "
-                        f"(planned {plan.n_runs} runs at budget {plan.budget})"
-                    )
-                return chunk
-
-            driven = _drive_stage(stage, controller, log, fetch_round)
-            if len(driven) != len(records):
+        def fetch_round(
+            plan: RoundPlan, issued: int, stage=stage, records=records
+        ) -> list[StageRunRecord]:
+            chunk = records[issued : issued + plan.n_runs]
+            if len(chunk) != plan.n_runs or any(r.budget != plan.budget for r in chunk):
                 raise ReplayError(
-                    f"stage {stage.key!r}: {len(records) - len(driven)} recorded "
-                    "runs left over after the replayed controller finished"
+                    f"stage {stage.key!r}: recorded stream diverges from the "
+                    f"replayed plan at run {issued} "
+                    f"(planned {plan.n_runs} runs at budget {plan.budget})"
                 )
-            counted = controller.counted
-        _finish_stage(log, stage, records, counted)
+            return chunk
+
+        driven = _drive_stage(stage, controller, log, fetch_round)
+        if len(driven) != len(records):
+            raise ReplayError(
+                f"stage {stage.key!r}: {len(records) - len(driven)} recorded "
+                "runs left over after the replayed controller finished"
+            )
+        _finish_stage(log, stage, records, controller.counted)
     return log.as_dicts()
 
 

@@ -29,7 +29,9 @@ from repro.multiwalk.observations import RuntimeObservations
 __all__ = ["CampaignReport", "StageReport"]
 
 #: Format tag of the report JSON (bump on incompatible layout changes).
-REPORT_FORMAT = "repro-campaign-report-v1"
+#: v2: every controller, ``off`` included, records a ``plan`` and a
+#: ``round`` decision per stage, so v1 ``off`` logs no longer replay.
+REPORT_FORMAT = "repro-campaign-report-v2"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,12 +55,6 @@ class StageReport:
     required: bool
     supports_cutoff: bool
     stream: tuple[StageRunRecord, ...]
-    #: The original batch object when the stage was satisfied wholesale
-    #: (off/static controllers, precollected warm starts).  Not serialised;
-    #: preserves object identity for in-process memo reuse.
-    batch: RuntimeObservations | None = dataclasses.field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def n_issued(self) -> int:
@@ -77,8 +73,6 @@ class StageReport:
 
     def observations(self) -> RuntimeObservations | None:
         """The stage's batch, reassembled from the stream (``None`` if empty)."""
-        if self.batch is not None:
-            return self.batch
         if not self.stream:
             return None
         return RuntimeObservations(

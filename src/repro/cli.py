@@ -13,9 +13,8 @@ Subcommands
     end-user workflow.
 ``campaign``
     Run the experiment campaigns through the streaming orchestrator.  The
-    default ``--controller off`` collects exactly the classic batches
-    (byte-identical observations and summary); ``--controller static``
-    additionally records the plan, and ``--controller adaptive`` re-plans
+    default ``--controller off`` and ``--controller static`` collect one
+    classic batch per stage and record the plan; ``--controller adaptive`` re-plans
     every round live (kill-and-reseed cutoffs, fixed-vs-Luby schedule,
     predictor-driven worker allocation).  ``--dry-run`` prints the resolved
     stage DAG and plan without executing; ``--report FILE`` saves the full
@@ -49,10 +48,12 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import signal
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -72,11 +73,7 @@ from repro.engine.distributed import DistributedBackend, ProtocolError, run_work
 from repro.engine.lockstep import LockstepBackend
 from repro.engine.progress import BatchProgress
 from repro.experiments.config import SAT_FAMILIES, ExperimentConfig
-from repro.experiments.data import (
-    CampaignSummary,
-    campaign_precollected,
-    memoize_campaign,
-)
+from repro.experiments.data import CampaignSummary, observation_cache
 from repro.experiments.stages import canonical_emit_order
 from repro.sat.dimacs import bundled_instance_names
 from repro.solvers.policies import POLICIES
@@ -575,6 +572,14 @@ def _validate_engine_args(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _reject_engine_args(args: argparse.Namespace) -> bool:
+    """Print the engine-flag error, if any; true when the command must exit 2."""
+    error = _validate_engine_args(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return error is not None
+
+
 def _engine_backend(args: argparse.Namespace) -> str | BatchExecutor:
     """Build the backend spec passed to the engine from validated CLI flags.
 
@@ -595,10 +600,24 @@ def _engine_backend(args: argparse.Namespace) -> str | BatchExecutor:
     )
 
 
+@contextlib.contextmanager
+def _engine(args: argparse.Namespace) -> Iterator[dict]:
+    """Engine keyword arguments (``backend``, ``workers``) for one command.
+
+    The flags must have passed :func:`_validate_engine_args`.  A
+    distributed backend is shut down on exit, which lets connected
+    workers exit cleanly.
+    """
+    backend = _engine_backend(args)
+    try:
+        yield {"backend": backend, "workers": args.workers if isinstance(backend, str) else None}
+    finally:
+        if isinstance(backend, DistributedBackend):
+            backend.shutdown()
+
+
 def _command_run(args: argparse.Namespace) -> int:
-    error = _validate_engine_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+    if _reject_engine_args(args):
         return 2
     config = _config_from_args(args)
     names = list(args.experiments)
@@ -608,22 +627,14 @@ def _command_run(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
-    backend = _engine_backend(args)
     # Collect each observation campaign at most once, with the engine flags.
     campaigns: dict[str, object] = {}
-    try:
+    with _engine(args) as engine:
         for kind in OBSERVATION_KINDS:
             if any(EXPERIMENTS[n].observations == kind for n in names):
                 campaigns[kind] = collect_observations_for(
-                    kind,
-                    config,
-                    cache_dir=args.cache_dir,
-                    backend=backend,
-                    workers=args.workers if isinstance(backend, str) else None,
+                    kind, config, cache_dir=args.cache_dir, **engine
                 )
-    finally:
-        if isinstance(backend, DistributedBackend):
-            backend.shutdown()  # lets connected workers exit cleanly
     for name in names:
         kind = EXPERIMENTS[name].observations
         if kind is not None:
@@ -693,9 +704,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
         )
         return 0
 
-    error = _validate_engine_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+    if _reject_engine_args(args):
         return 2
     config = _config_from_args(args)
     stages = campaign_stages_for(config)
@@ -724,35 +733,24 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    backend = _engine_backend(args)
     try:
-        report = run_campaign(
-            stages,
-            controller=args.controller,
-            backend=backend,
-            workers=args.workers if isinstance(backend, str) else None,
-            progress=progress,
-            cache=args.cache_dir,
-            # Classic campaigns reuse batches the collectors already memoised
-            # in this process; controllers plan their own run streams.
-            precollected=campaign_precollected(config) if args.controller == "off" else None,
-        )
+        with _engine(args) as engine:
+            report = run_campaign(
+                stages,
+                controller=args.controller,
+                progress=progress,
+                cache=observation_cache(args.cache_dir),
+                **engine,
+            )
     except CampaignError as exc:
         print(f"error: campaign failed: {exc}", file=sys.stderr)
         if args.report is not None:
             exc.report.save(args.report)
             print(f"partial report written to {args.report}", file=sys.stderr)
         return 1
-    finally:
-        if isinstance(backend, DistributedBackend):
-            backend.shutdown()  # lets connected workers exit cleanly
 
     observations = report.observations()
-    if args.controller == "off":
-        # Seed the in-process memo so experiments run later in this process
-        # (tests, notebooks) reuse the batches the campaign just collected.
-        memoize_campaign(config, observations)
-    else:
+    if args.controller != "off":
         print(
             f"controller={args.controller}: {len(report.decisions)} decisions "
             f"recorded across {len(report.stages)} stages",
@@ -906,9 +904,7 @@ def _command_recipe(args: argparse.Namespace) -> int:
         return 0
 
     # recipe generate
-    error = _validate_engine_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+    if _reject_engine_args(args):
         return 2
     try:
         plan = describe_campaign(recipe, scale=args.scale, base_seed=args.seed)
@@ -935,24 +931,17 @@ def _command_recipe(args: argparse.Namespace) -> int:
         return 0
 
     stages = generate_stages(recipe, scale=args.scale, base_seed=args.seed)
-    backend = _engine_backend(args)
     try:
-        report = run_campaign(
-            stages,
-            controller=args.controller,
-            backend=backend,
-            workers=args.workers if isinstance(backend, str) else None,
-            cache=args.cache_dir,
-        )
+        with _engine(args) as engine:
+            report = run_campaign(
+                stages, controller=args.controller, cache=args.cache_dir, **engine
+            )
     except CampaignError as exc:
         print(f"error: generated campaign failed: {exc}", file=sys.stderr)
         if args.report is not None:
             exc.report.save(args.report)
             print(f"partial report written to {args.report}", file=sys.stderr)
         return 1
-    finally:
-        if isinstance(backend, DistributedBackend):
-            backend.shutdown()  # lets connected workers exit cleanly
     for stage in report.stages:
         print(
             f"{stage.label:<20s} issued={stage.n_issued:<5d} solved={stage.n_solved:<5d} "
@@ -964,9 +953,7 @@ def _command_recipe(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    error = _validate_engine_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+    if _reject_engine_args(args):
         return 2
     if args.max_queue < 1:
         print(f"error: --max-queue must be >= 1, got {args.max_queue}", file=sys.stderr)

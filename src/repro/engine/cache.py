@@ -8,6 +8,8 @@ from exactly those ingredients; repeated campaigns (across processes, CLI
 invocations or backends) are then free.  Because seed derivation is
 backend-independent (see :mod:`repro.engine.seeding`), a batch collected on
 one backend is a valid cache hit for every other backend.
+:class:`MemoryObservationCache` keeps the same content-addressed batches in
+a dictionary instead, for callers that want reuse within one process only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from repro.multiwalk.observations import RuntimeObservations
 from repro.solvers.base import LasVegasAlgorithm
 
-__all__ = ["ObservationCache", "algorithm_fingerprint"]
+__all__ = ["MemoryObservationCache", "ObservationCache", "algorithm_fingerprint"]
 
 
 def _token(value: Any) -> str:
@@ -158,3 +160,22 @@ class ObservationCache:
     def write_batch(self, observations: RuntimeObservations, path: Path) -> None:
         """Write a batch to a derived cache path."""
         observations.save(path)
+
+
+class MemoryObservationCache(ObservationCache):
+    """Content-addressed batches kept in this process's memory.
+
+    Keys are derived exactly as on disk; only the persistence hooks differ,
+    so a batch is stored under the file name it would have in a directory
+    and nothing is written anywhere.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(".")
+        self.batches: dict[str, RuntimeObservations] = {}
+
+    def read_batch(self, path: Path) -> RuntimeObservations | None:
+        return self.batches.get(path.name)
+
+    def write_batch(self, observations: RuntimeObservations, path: Path) -> None:
+        self.batches[path.name] = observations

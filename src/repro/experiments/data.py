@@ -2,16 +2,20 @@
 
 Every solver-backed experiment (Tables 1–5, Figures 6–14) consumes the same
 raw material: a batch of independent sequential Adaptive Search runs per
-benchmark.  Collecting them is by far the most expensive step, so batches
-are cached in-process (keyed by the configuration) and can optionally be
-persisted on disk through the engine's content-addressed
-:class:`repro.engine.ObservationCache` so that repeated CLI invocations
-reuse earlier campaigns.  Execution itself is delegated to the campaign
-orchestrator (:func:`repro.campaign.run_campaign` over the stage DAGs
-declared in :mod:`repro.experiments.stages`, with the controller ``off``),
-which routes every batch through :func:`repro.engine.collect_batch` —
-campaigns can be collected on any backend with bit-identical results, and
-a disk-cache entry written by one backend is a valid hit for all of them.
+benchmark.  Collecting them is by far the most expensive step, so every
+batch goes through the engine's content-addressed
+:class:`repro.engine.ObservationCache`: on disk when a cache directory is
+given (repeated CLI invocations reuse earlier campaigns), otherwise in one
+process-wide :class:`repro.engine.cache.MemoryObservationCache`.  The key
+names the solver, label, run count and seed root, so a batch is collected
+at most once per process whatever asks for it — the SAT stage and the
+default-policy stage of the policy family share one address, for example.
+Execution itself is delegated to the campaign orchestrator
+(:func:`repro.campaign.run_campaign` over the stage DAGs declared in
+:mod:`repro.experiments.stages`, with the controller ``off``), which routes
+every batch through :func:`repro.engine.collect_batch` — campaigns can be
+collected on any backend with bit-identical results, and a cache entry
+written by one backend is a valid hit for all of them.
 
 The collectors run the orchestrator with ``enforce_required=False``: an
 all-censored batch is a legitimate *answer* for a table (the
@@ -27,114 +31,53 @@ from typing import Mapping
 
 from repro.campaign.orchestrator import run_campaign
 from repro.engine.backends import BatchExecutor
+from repro.engine.cache import MemoryObservationCache, ObservationCache
 from repro.engine.progress import ProgressCallback
-from repro.experiments.config import BENCHMARK_KEYS, SAT_KEY, ExperimentConfig
+from repro.experiments.config import SAT_KEY, ExperimentConfig
 from repro.experiments.stages import campaign_stages
 from repro.multiwalk.observations import RuntimeObservations
 from repro.solvers.policies import POLICIES
 
 __all__ = [
-    "campaign_precollected",
     "collect_benchmark_observations",
     "collect_sat_observations",
     "collect_sat_policy_observations",
     "clear_observation_cache",
-    "memoize_campaign",
+    "observation_cache",
 ]
 
-#: In-process cache: (campaign kind, config fingerprint) -> key -> batch.
-#: One dict for every observation kind, so adding a kind cannot forget the
-#: cache-clearing path.  Deliberately ignores the backend: the engine
-#: guarantees backend-invariant results, so a campaign collected anywhere
-#: satisfies every caller.
-_CACHE: dict[tuple, dict[str, RuntimeObservations]] = {}
+#: The process-wide memory tier used wherever no cache directory is given.
+_MEMORY_CACHE = MemoryObservationCache()
 
 
-def _config_fingerprint(config: ExperimentConfig) -> tuple:
-    """Hashable identity of the config parts that affect the CSP campaigns."""
-    return (
-        "benchmarks",
-        config.magic_square_n,
-        config.all_interval_n,
-        config.costas_n,
-        config.n_sequential_runs,
-        config.max_iterations,
-        config.base_seed,
-    )
-
-
-def _sat_fingerprint(config: ExperimentConfig, kind: str = "sat") -> tuple:
-    """Hashable identity of the config parts that affect the SAT campaigns."""
-    return (
-        kind,
-        config.sat_n_variables,
-        config.sat_clause_ratio,
-        config.sat_k,
-        config.sat_family,
-        config.sat_policy,
-        config.sat_dimacs,
-        config.n_sequential_runs,
-        config.max_iterations,
-        config.base_seed,
-    )
+def observation_cache(cache_dir: str | Path | None) -> ObservationCache | str | Path:
+    """The cache a collection uses: ``cache_dir`` if given, else the memory tier."""
+    return _MEMORY_CACHE if cache_dir is None else cache_dir
 
 
 def clear_observation_cache() -> None:
-    """Drop all cached campaigns, of every kind (mostly useful in tests)."""
-    _CACHE.clear()
+    """Drop every batch held in the memory tier (mostly useful in tests)."""
+    _MEMORY_CACHE.batches.clear()
 
 
-def campaign_precollected(config: ExperimentConfig) -> dict[str, RuntimeObservations]:
-    """In-process memoised batches keyed by *stage key*.
-
-    The warm-start mapping the ``campaign`` subcommand hands to the
-    orchestrator (``precollected=``) so a CLI campaign in a process whose
-    collectors already ran — the test-suite, a notebook — reuses those
-    batches instead of re-executing stages.  Only classic full batches are
-    memoised, so this applies to the ``off`` controller alone.
-    """
-    out: dict[str, RuntimeObservations] = {}
-    bench = _CACHE.get(_config_fingerprint(config))
-    if bench is not None:
-        out.update(bench)  # benchmark keys are their stage keys
-    sat_memo = _CACHE.get(_sat_fingerprint(config))
-    if sat_memo is not None:
-        out[SAT_KEY] = sat_memo[SAT_KEY]
-    policies = _CACHE.get(_sat_fingerprint(config, kind="sat_policies"))
-    if policies is not None:
-        for policy in POLICIES:
-            key = f"{SAT_KEY}/{policy}"
-            if key not in policies:
-                continue
-            if policy == config.sat_policy:
-                # The default policy's batch is the SAT stage itself.
-                out.setdefault(SAT_KEY, policies[key])
-            else:
-                out[key] = policies[key]
-    return out
-
-
-def memoize_campaign(
-    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
-) -> None:
-    """Record a completed classic (controller-``off``) campaign in the memo.
-
-    The inverse of :func:`campaign_precollected`: after the ``campaign``
-    subcommand collects its batches through the orchestrator, this seeds
-    the same in-process entries the plain collectors would have, so
-    experiments run later in the process reuse them.
-    """
-    if all(key in observations for key in BENCHMARK_KEYS):
-        _CACHE[_config_fingerprint(config)] = {
-            key: observations[key] for key in BENCHMARK_KEYS
-        }
-    if SAT_KEY in observations:
-        _CACHE[_sat_fingerprint(config)] = {SAT_KEY: observations[SAT_KEY]}
-    policy_keys = [f"{SAT_KEY}/{policy}" for policy in POLICIES]
-    if all(key in observations for key in policy_keys):
-        _CACHE[_sat_fingerprint(config, kind="sat_policies")] = {
-            key: observations[key] for key in policy_keys
-        }
+def _collect(
+    kind: str,
+    config: ExperimentConfig,
+    cache_dir: str | Path | None,
+    backend: str | BatchExecutor | None,
+    workers: int | None,
+    progress: ProgressCallback | None,
+) -> dict[str, RuntimeObservations]:
+    report = run_campaign(
+        campaign_stages(config, kinds=(kind,)),
+        controller="off",
+        backend=backend,
+        workers=workers,
+        progress=progress,
+        cache=observation_cache(cache_dir),
+        enforce_required=False,
+    )
+    return report.observations()
 
 
 def collect_benchmark_observations(
@@ -154,30 +97,15 @@ def collect_benchmark_observations(
     cache_dir:
         Optional directory for JSON persistence across processes.  Files are
         content-addressed by (solver, config, problem, seed), so changing
-        any size/seed parameter triggers a fresh campaign.
+        any size/seed parameter triggers a fresh campaign.  Without it,
+        batches are reused within the process only.
     backend, workers:
         Execution backend and worker count forwarded to the engine
         (default: serial).
     progress:
         Optional structured progress callback forwarded to the engine.
     """
-    fingerprint = _config_fingerprint(config)
-    if fingerprint in _CACHE:
-        return dict(_CACHE[fingerprint])
-
-    report = run_campaign(
-        campaign_stages(config, kinds=("benchmarks",)),
-        controller="off",
-        backend=backend,
-        workers=workers,
-        progress=progress,
-        cache=cache_dir,
-        enforce_required=False,
-    )
-    observations = report.observations()
-
-    _CACHE[fingerprint] = dict(observations)
-    return observations
+    return _collect("benchmarks", config, cache_dir, backend, workers, progress)
 
 
 def collect_sat_observations(
@@ -193,30 +121,13 @@ def collect_sat_observations(
     The instance family (planted / uniform / DIMACS) and the flip policy
     come from ``config.sat_family`` / ``config.sat_policy``.  Same contract
     as :func:`collect_benchmark_observations` — engine-routed execution on
-    any backend with bit-identical flip counts, in-process memoisation per
-    configuration, and optional content-addressed disk persistence — for
-    the SAT workload the paper's conclusion proposes.  Returns a
-    single-entry mapping keyed by
+    any backend with bit-identical flip counts and content-addressed
+    caching — for the SAT workload the paper's conclusion proposes.
+    Returns a single-entry mapping keyed by
     :data:`~repro.experiments.config.SAT_KEY` so SAT campaigns compose with
     the benchmark ones.
     """
-    fingerprint = _sat_fingerprint(config)
-    if fingerprint in _CACHE:
-        return dict(_CACHE[fingerprint])
-
-    report = run_campaign(
-        campaign_stages(config, kinds=("sat",)),
-        controller="off",
-        backend=backend,
-        workers=workers,
-        progress=progress,
-        cache=cache_dir,
-        enforce_required=False,
-    )
-    observations = report.observations()
-
-    _CACHE[fingerprint] = dict(observations)
-    return dict(observations)
+    return _collect("sat", config, cache_dir, backend, workers, progress)
 
 
 def collect_sat_policy_observations(
@@ -235,46 +146,15 @@ def collect_sat_policy_observations(
     analogue of comparing solvers on a fixed benchmark.  Keys are
     ``"SAT/<policy>"``; the configured policy's batch is the one
     :func:`collect_sat_observations` collects (identical solver, seed root
-    and label), so it is *reused* here — through the in-process memo even
-    without a disk cache — rather than executed a second time.
+    and label, hence one cache address), so either collector reuses the
+    other's batch rather than executing it a second time.
     """
-    fingerprint = _sat_fingerprint(config, kind="sat_policies")
-    if fingerprint in _CACHE:
-        return dict(_CACHE[fingerprint])
-
-    # The configured policy's batch is the one the single-policy SAT
-    # campaign collects (identical solver, seed root and label); when that
-    # collector already memoised it in-process, hand it to the orchestrator
-    # pre-collected so a `campaign` invocation never runs the policy twice.
-    precollected: dict[str, RuntimeObservations] = {}
-    sat_memo = _CACHE.get(_sat_fingerprint(config))
-    if sat_memo is not None:
-        precollected[SAT_KEY] = sat_memo[SAT_KEY]
-    report = run_campaign(
-        campaign_stages(config, kinds=("sat_policies",)),
-        controller="off",
-        backend=backend,
-        workers=workers,
-        progress=progress,
-        cache=cache_dir,
-        enforce_required=False,
-        precollected=precollected,
-    )
-    collected = report.observations()
-    # Reorder to the registered policy order (the shared default-policy
-    # batch sits at its policy position, not at its stage position).
-    observations = {
+    collected = _collect("sat_policies", config, cache_dir, backend, workers, progress)
+    # Registered policy order (the shared default-policy batch sits at its
+    # policy position, not at its stage position).
+    return {
         key: collected[key] for policy in POLICIES if (key := f"{SAT_KEY}/{policy}") in collected
     }
-
-    _CACHE[fingerprint] = dict(observations)
-    # The default policy's batch doubles as the single-policy campaign, so
-    # memoise it under that fingerprint too (the reuse the plain collector
-    # provided when it was called second).
-    _CACHE.setdefault(
-        _sat_fingerprint(config), {SAT_KEY: observations[f"{SAT_KEY}/{config.sat_policy}"]}
-    )
-    return dict(observations)
 
 
 @dataclasses.dataclass(frozen=True)

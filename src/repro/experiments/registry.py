@@ -6,7 +6,7 @@ conclusion proposes.  Each entry declares which observation campaign it
 consumes (``"benchmarks"`` for the three CSP benchmarks, ``"sat"`` for the
 planted 3-SAT WalkSAT campaign, ``None`` for pure-model figures) so the CLI
 and :func:`run_experiment` collect each campaign at most once per
-invocation and share it through the observation caches.
+invocation and share it through the content-addressed observation cache.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ OBSERVATION_KINDS: tuple[str, ...] = STAGE_KINDS
 
 #: Campaign collectors per kind (signature of collect_benchmark_observations).
 #: Each one executes the corresponding stage definitions through the
-#: campaign orchestrator with the controller off, plus in-process memoing.
+#: campaign orchestrator with the controller off; the observation cache
+#: (the process-wide memory tier unless a directory is given) makes a
+#: repeated collection free.
 _COLLECTORS: Mapping[str, Callable] = {
     "benchmarks": collect_benchmark_observations,
     "sat": collect_sat_observations,
@@ -54,7 +56,7 @@ def campaign_stages_for(config: ExperimentConfig, kinds=OBSERVATION_KINDS):
     :class:`repro.campaign.StageSpec` DAG is what the ``campaign``
     subcommand hands to :func:`repro.campaign.run_campaign` (with any
     controller), while :func:`collect_observations_for` remains the
-    memoised controller-``off`` shortcut the experiments use.
+    controller-``off`` shortcut the experiments use.
     """
     return campaign_stages(config, kinds=kinds)
 
@@ -134,7 +136,7 @@ def run_experiment(name: str, config: ExperimentConfig | None = None, **kwargs):
     """Run one experiment by its identifier and return its result object.
 
     Solver-backed experiments share their campaign (CSP benchmarks or the
-    SAT workload) through the observation caches, so running several of
+    SAT workload) through the observation cache, so running several of
     them only pays the solver cost once per configuration.
     """
     try:

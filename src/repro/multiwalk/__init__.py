@@ -2,10 +2,8 @@
 
 An independent multi-walk runs ``n`` copies of a Las Vegas algorithm with
 independent random streams and stops as soon as the first copy finds a
-solution.  This package provides three ways to realise it:
+solution.  This package provides two ways to realise it:
 
-* :mod:`repro.multiwalk.runner` — sequential batch collection of
-  independent runs (the raw material for Tables 1–2 and for fitting).
 * :mod:`repro.multiwalk.simulate` — the *simulated* multi-walk: group
   independent sequential runs into blocks of ``n`` and keep each block's
   minimum.  Because an independent multi-walk involves no communication,
@@ -15,14 +13,14 @@ solution.  This package provides three ways to realise it:
   for modest core counts, racing walks through the execution engine
   (:mod:`repro.engine`).
 
-All run collection is delegated to :mod:`repro.engine`, so the serial,
-thread and process backends produce bit-identical iteration counts for a
-given base seed.
+Batches of sequential runs are collected with
+:func:`repro.engine.collect_batch`, and all run execution goes through
+:mod:`repro.engine`, so every backend produces bit-identical iteration
+counts for a given base seed.
 """
 
 from repro.multiwalk.observations import RuntimeObservations
 from repro.multiwalk.parallel import MultiWalkExecutor, emulate_multiwalk
-from repro.multiwalk.runner import collect_observations, run_sequential_batch
 from repro.multiwalk.simulate import (
     MultiwalkMeasurement,
     simulate_multiwalk_from_observations,
@@ -33,9 +31,7 @@ __all__ = [
     "MultiWalkExecutor",
     "MultiwalkMeasurement",
     "RuntimeObservations",
-    "collect_observations",
     "emulate_multiwalk",
-    "run_sequential_batch",
     "simulate_multiwalk_from_observations",
     "simulate_multiwalk_speedups",
 ]

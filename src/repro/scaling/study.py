@@ -35,8 +35,8 @@ from repro.core.distributions.base import RuntimeDistribution
 from repro.core.fitting import FitResult, fit_distribution, select_best_fit
 from repro.core.speedup import SpeedupCurve, SpeedupModel
 from repro.csp.permutation import PermutationProblem
+from repro.engine.core import collect_batch
 from repro.multiwalk.observations import RuntimeObservations
-from repro.multiwalk.runner import run_sequential_batch
 from repro.scaling.laws import PowerLawFit, fit_power_law
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.base import LasVegasAlgorithm
@@ -198,7 +198,7 @@ class InstanceScalingStudy:
         for index, size in enumerate(sorted(sizes)):
             problem = self.problem_factory(size)
             solver = self.solver_factory(problem)
-            batch = run_sequential_batch(
+            batch = collect_batch(
                 solver, self.n_runs, base_seed=self.base_seed + 1000 * index,
                 label=f"{problem.describe()}",
                 backend=self.backend, workers=self.workers,
@@ -290,7 +290,7 @@ class InstanceScalingStudy:
         extrapolated = self.extrapolate(target_size, cores)
         problem = self.problem_factory(int(target_size))
         solver = self.solver_factory(problem)
-        batch = run_sequential_batch(
+        batch = collect_batch(
             solver, n_runs or self.n_runs, base_seed=self.base_seed + 999_983,
             label=problem.describe(),
             backend=self.backend, workers=self.workers,

@@ -14,6 +14,7 @@ import pytest
 from repro.campaign.controller import (
     CONTROLLER_NAMES,
     AdaptiveController,
+    Controller,
     DecisionLog,
     StageRunRecord,
     StaticController,
@@ -62,8 +63,12 @@ def _drive(controller, stage, outcomes):
 
 
 class TestMakeController:
-    def test_off_is_none(self):
-        assert make_controller("off") is None
+    def test_off_is_the_static_plan_without_params(self):
+        controller = make_controller("off")
+        assert isinstance(controller, Controller)
+        assert isinstance(controller, StaticController)
+        assert controller.name == "off"
+        assert controller.params() == {}
 
     def test_off_rejects_params(self):
         with pytest.raises(ValueError, match="takes no parameters"):
@@ -73,7 +78,7 @@ class TestMakeController:
         with pytest.raises(ValueError, match="unknown controller"):
             make_controller("turbo")
 
-    @pytest.mark.parametrize("name", [n for n in CONTROLLER_NAMES if n != "off"])
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
     def test_params_round_trip(self, name):
         controller = make_controller(name)
         rebuilt = make_controller(name, controller.params())

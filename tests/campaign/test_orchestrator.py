@@ -96,20 +96,23 @@ class TestOffController:
         assert set(observations) == {"S", "S/alias"}
         assert observations["S"] is observations["S/alias"]
 
-    def test_precollected_skips_execution(self):
-        calls = []
+    def test_records_plan_and_round_per_stage(self):
+        report = run_campaign([_stage()])
+        assert report.controller_params == {}
+        kinds = [d["kind"] for d in report.decision_dicts()]
+        assert kinds == ["plan", "round", "stage-complete"]
 
-        def make_solver(budget):
-            calls.append(budget)
-            return GeometricSolver(budget)
-
-        stage = _stage(make_solver=make_solver)
-        batch = collect_batch(GeometricSolver(400), 10, base_seed=7, label="geom-S")
-        report = run_campaign([stage], precollected={"S": batch})
-        assert calls == []  # the solver factory was never invoked
-        np.testing.assert_array_equal(
-            report.observations()["S"].iterations, batch.iterations
-        )
+    def test_off_and_static_share_one_cache_file_per_stage(self, tmp_path, solver_runs):
+        stages = [_stage("A", base_seed=1), _stage("B", base_seed=2, after=("A",))]
+        off = run_campaign(stages, cache=tmp_path)
+        assert len(solver_runs) == 20
+        assert len(list(tmp_path.glob("observations-*.json"))) == 2
+        solver_runs.clear()
+        static = run_campaign(stages, controller="static", cache=tmp_path)
+        assert solver_runs == []  # every stage was read back from its file
+        assert len(list(tmp_path.glob("observations-*.json"))) == 2
+        for key in ("A", "B"):
+            assert static.stage(key).stream == off.stage(key).stream
 
 
 class TestBug021:
@@ -192,6 +195,24 @@ class TestAdaptiveOrchestration:
             r.as_dict() | {"runtime_seconds": 0.0} for r in b.stream
         ]
 
+    def test_probe_round_is_cached_and_later_rounds_rerun(self, tmp_path, solver_runs):
+        stage = _stage(quota=8, budget=100, scale=300.0, base_seed=3)
+        first = run_campaign([stage], controller="adaptive", cache=tmp_path)
+        first_runs = len(solver_runs)
+        probe = next(d for d in first.decision_dicts() if d["kind"] == "round")
+        probe_runs = probe["detail"]["n_runs"]
+        assert first_runs == first.stage("S").n_issued > probe_runs
+        assert len(list(tmp_path.glob("observations-*.json"))) == 1
+        solver_runs.clear()
+        second = run_campaign([stage], controller="adaptive", cache=tmp_path)
+        # Only the probe round starts the seed stream, so only it is cached.
+        assert len(solver_runs) == first_runs - probe_runs
+        assert len(list(tmp_path.glob("observations-*.json"))) == 1
+        assert second.decision_dicts() == first.decision_dicts()
+        assert [r.as_dict() | {"runtime_seconds": 0.0} for r in second.stage("S").stream] == [
+            r.as_dict() | {"runtime_seconds": 0.0} for r in first.stage("S").stream
+        ]
+
     def test_controller_instance_passthrough(self):
         stage = _stage(quota=6, budget=400)
         controller = AdaptiveController(probe_runs=3, max_round_runs=6)
@@ -236,6 +257,13 @@ class TestReplayAndReport:
     def test_wrong_format_marker_rejected(self):
         with pytest.raises(ValueError, match="format"):
             CampaignReport.from_dict({"format": "something-else"})
+
+    def test_v1_report_rejected(self):
+        # v1 `off` logs lack the plan/round decisions every v2 log replays.
+        payload = self._report("off").as_dict()
+        payload["format"] = "repro-campaign-report-v1"
+        with pytest.raises(ValueError, match="format"):
+            CampaignReport.from_dict(payload)
 
 
 class TestDryRun:

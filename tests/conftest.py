@@ -30,3 +30,24 @@ def tiny_config() -> ExperimentConfig:
 def tiny_observations(tiny_config):
     """One shared solver campaign for all experiment-layer tests."""
     return collect_benchmark_observations(tiny_config)
+
+
+@pytest.fixture
+def solver_runs(monkeypatch) -> list[int]:
+    """Indices of the runs the engine executes in this process, in order.
+
+    Spies on ``execute_run`` where the engine looks it up, so in-process
+    backends (serial, thread) record every run they execute; a cache hit
+    records nothing.
+    """
+    import repro.engine.core as engine_core
+
+    runs: list[int] = []
+    execute = engine_core.execute_run
+
+    def spy(task):
+        runs.append(task.index)
+        return execute(task)
+
+    monkeypatch.setattr(engine_core, "execute_run", spy)
+    return runs

@@ -64,14 +64,6 @@ class TestBackendEquivalence:
         )
         np.testing.assert_array_equal(batch.iterations, reference.iterations)
 
-    def test_matches_legacy_sequential_runner(self):
-        """The engine reproduces the pre-engine run_sequential_batch output."""
-        from repro.multiwalk.runner import run_sequential_batch
-
-        engine_batch = collect_batch(SyntheticAlgorithm(), 30, base_seed=9)
-        runner_batch = run_sequential_batch(SyntheticAlgorithm(), 30, base_seed=9)
-        np.testing.assert_array_equal(engine_batch.iterations, runner_batch.iterations)
-
 
 class TestCollectBatch:
     def test_rejects_zero_runs(self):

@@ -1,5 +1,7 @@
 """Experiment configuration and campaign collection/caching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from repro.experiments.data import (
     clear_observation_cache,
     collect_benchmark_observations,
     collect_sat_observations,
+    collect_sat_policy_observations,
 )
+from repro.solvers.policies import POLICIES
 
 
 class TestExperimentConfig:
@@ -86,6 +90,24 @@ class TestCampaignCollection:
             np.testing.assert_array_equal(first[key].iterations, second[key].iterations)
         clear_observation_cache()
 
+    def test_repeat_collection_runs_no_solver(self, tiny_config, solver_runs):
+        first = collect_benchmark_observations(tiny_config)
+        solver_runs.clear()
+        again = collect_benchmark_observations(tiny_config)
+        assert solver_runs == []
+        for key in BENCHMARK_KEYS:
+            np.testing.assert_array_equal(again[key].runtimes, first[key].runtimes)
+
+    def test_clear_empties_the_memory_tier(self, tiny_config, solver_runs):
+        config = dataclasses.replace(tiny_config, n_sequential_runs=3, base_seed=41)
+        collect_sat_observations(config)
+        assert len(solver_runs) == 3
+        collect_sat_observations(config)
+        assert len(solver_runs) == 3
+        clear_observation_cache()
+        collect_sat_observations(config)
+        assert len(solver_runs) == 6
+
     def test_campaign_summary(self, tiny_config, tiny_observations):
         summary = CampaignSummary.from_observations(tiny_config, tiny_observations)
         assert set(summary.n_runs) == set(BENCHMARK_KEYS)
@@ -155,6 +177,21 @@ class TestSATCampaignCollection:
         clear_observation_cache()
         second = collect_sat_observations(config, cache_dir=tmp_path)
         np.testing.assert_array_equal(first[SAT_KEY].iterations, second[SAT_KEY].iterations)
+        clear_observation_cache()
+
+    def test_policy_family_reuses_the_sat_batch(self, tiny_config, solver_runs):
+        config = dataclasses.replace(tiny_config, n_sequential_runs=4, base_seed=23)
+        clear_observation_cache()
+        single = collect_sat_observations(config)[SAT_KEY]
+        assert len(solver_runs) == 4
+        solver_runs.clear()
+        policies = collect_sat_policy_observations(config)
+        # Only the non-default policies ran: the default-policy stage has
+        # the SAT stage's cache address.
+        assert len(solver_runs) == 4 * (len(POLICIES) - 1)
+        shared = policies[f"{SAT_KEY}/{config.sat_policy}"]
+        np.testing.assert_array_equal(shared.iterations, single.iterations)
+        np.testing.assert_array_equal(shared.seeds, single.seeds)
         clear_observation_cache()
 
     def test_sat_campaign_is_backend_invariant(self, tiny_config):

@@ -109,12 +109,14 @@ class TestCampaignCollection:
 
     def test_policy_campaign_reuses_the_default_policy_batch_in_process(self):
         # Regression: without any disk cache, the default-policy batch must
-        # not be collected twice — the policy campaign reuses the exact
-        # object the single-policy campaign memoised.
+        # not be collected twice — the policy campaign reads the batch the
+        # single-policy campaign left in the memory tier.
         config = _tiny(n_sequential_runs=6)
         single = collect_sat_observations(config)[SAT_KEY]
         policies = collect_sat_policy_observations(config)
-        assert policies[f"{SAT_KEY}/{config.sat_policy}"] is single
+        shared = policies[f"{SAT_KEY}/{config.sat_policy}"]
+        np.testing.assert_array_equal(shared.iterations, single.iterations)
+        np.testing.assert_array_equal(shared.runtimes, single.runtimes)
 
     def test_policy_campaign_shares_the_default_policy_cache_entry(self, tmp_path):
         config = _tiny(n_sequential_runs=6)

@@ -1,18 +1,16 @@
-"""Sequential batch runner and the simulated multi-walk."""
+"""Sequential batch collection and the simulated multi-walk."""
 
 import numpy as np
 import pytest
 
 from repro.core.distributions import ShiftedExponential
-from repro.csp.problems import CostasArrayProblem
+from repro.engine import collect_batch
 from repro.multiwalk.observations import RuntimeObservations
-from repro.multiwalk.runner import collect_observations, run_sequential_batch
 from repro.multiwalk.simulate import (
     MultiwalkMeasurement,
     simulate_multiwalk_from_observations,
     simulate_multiwalk_speedups,
 )
-from repro.solvers.adaptive_search import AdaptiveSearch
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 
 
@@ -31,46 +29,31 @@ class SyntheticAlgorithm(LasVegasAlgorithm):
 
 class TestRunner:
     def test_batch_size_and_label(self):
-        batch = run_sequential_batch(SyntheticAlgorithm(), 25, base_seed=1, label="synthetic")
+        batch = collect_batch(SyntheticAlgorithm(), 25, base_seed=1, label="synthetic")
         assert isinstance(batch, RuntimeObservations)
         assert batch.n_runs == 25
         assert batch.label == "synthetic"
 
     def test_batches_are_reproducible(self):
-        a = run_sequential_batch(SyntheticAlgorithm(), 10, base_seed=3)
-        b = run_sequential_batch(SyntheticAlgorithm(), 10, base_seed=3)
+        a = collect_batch(SyntheticAlgorithm(), 10, base_seed=3)
+        b = collect_batch(SyntheticAlgorithm(), 10, base_seed=3)
         np.testing.assert_array_equal(a.iterations, b.iterations)
 
     def test_different_base_seeds_differ(self):
-        a = run_sequential_batch(SyntheticAlgorithm(), 10, base_seed=3)
-        b = run_sequential_batch(SyntheticAlgorithm(), 10, base_seed=4)
+        a = collect_batch(SyntheticAlgorithm(), 10, base_seed=3)
+        b = collect_batch(SyntheticAlgorithm(), 10, base_seed=4)
         assert not np.array_equal(a.iterations, b.iterations)
 
     def test_runs_within_batch_are_independent(self):
-        batch = run_sequential_batch(SyntheticAlgorithm(), 50, base_seed=0)
+        batch = collect_batch(SyntheticAlgorithm(), 50, base_seed=0)
         assert np.unique(batch.iterations).size > 10
 
     def test_progress_callback(self):
         seen = []
-        run_sequential_batch(
-            SyntheticAlgorithm(), 5, base_seed=0, progress=lambda i, r: seen.append(i)
+        collect_batch(
+            SyntheticAlgorithm(), 5, base_seed=0, progress=lambda event: seen.append(event.index)
         )
         assert seen == [0, 1, 2, 3, 4]
-
-    def test_rejects_zero_runs(self):
-        with pytest.raises(ValueError):
-            run_sequential_batch(SyntheticAlgorithm(), 0)
-
-    def test_collect_observations_multiple_algorithms(self):
-        batches = collect_observations(
-            [SyntheticAlgorithm(50.0), AdaptiveSearch(CostasArrayProblem(6))], 5, base_seed=0
-        )
-        assert len(batches) == 2
-        assert all(batch.n_runs == 5 for batch in batches.values())
-
-    def test_collect_observations_rejects_empty_list(self):
-        with pytest.raises(ValueError):
-            collect_observations([], 5)
 
 
 class TestSimulatedMultiwalk:
@@ -169,7 +152,7 @@ class TestSimulatedMultiwalk:
             measurement.speedup(64)
 
     def test_wrapper_accepts_observation_batches(self, rng):
-        batch = run_sequential_batch(SyntheticAlgorithm(), 60, base_seed=5)
+        batch = collect_batch(SyntheticAlgorithm(), 60, base_seed=5)
         measurement = simulate_multiwalk_speedups(batch, cores=[4], rng=rng)
         assert measurement.label == "synthetic-exponential"
         assert measurement.speedup(4) > 1.0

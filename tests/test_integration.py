@@ -18,8 +18,8 @@ from repro import (
 from repro.core.distributions import LogNormalRuntime
 from repro.core.prediction import predict_speedup_empirical
 from repro.csp.problems import CostasArrayProblem, NQueensProblem
+from repro.engine import collect_batch
 from repro.multiwalk.parallel import emulate_multiwalk
-from repro.multiwalk.runner import run_sequential_batch
 from repro.sat import random_planted_ksat
 from repro.solvers import AdaptiveSearch, AdaptiveSearchConfig, WalkSAT, WalkSATConfig
 
@@ -69,7 +69,7 @@ class TestSolverPipeline:
     @pytest.fixture(scope="class")
     def costas_observations(self):
         solver = AdaptiveSearch(CostasArrayProblem(8), AdaptiveSearchConfig(max_iterations=100_000))
-        return run_sequential_batch(solver, n_runs=60, base_seed=99)
+        return collect_batch(solver, 60, base_seed=99)
 
     def test_all_runs_solve(self, costas_observations):
         assert costas_observations.success_rate() == 1.0
@@ -106,7 +106,7 @@ class TestWalkSATPipeline:
     def test_portfolio_prediction_for_sat(self, rng):
         formula, _ = random_planted_ksat(40, 160, rng=rng)
         solver = WalkSAT(formula, WalkSATConfig(max_flips=100_000))
-        batch = run_sequential_batch(solver, n_runs=40, base_seed=5)
+        batch = collect_batch(solver, 40, base_seed=5)
         assert batch.success_rate() == 1.0
         prediction = predict_speedup_curve(batch.values("iterations"), [8, 32])
         assert prediction.speedup(32) > prediction.speedup(8) > 1.0
@@ -116,6 +116,6 @@ class TestWalkSATPipeline:
         from repro.solvers import RandomRestartSearch
 
         solver = RandomRestartSearch(NQueensProblem(10))
-        batch = run_sequential_batch(solver, n_runs=40, base_seed=3)
+        batch = collect_batch(solver, 40, base_seed=3)
         prediction = predict_speedup_empirical(batch.values("iterations"), [4, 16])
         assert prediction.speedup(16) >= prediction.speedup(4) >= 1.0
