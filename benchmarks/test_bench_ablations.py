@@ -159,7 +159,7 @@ def test_ablation_parametric_vs_empirical(benchmark, request, quick_observations
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_algorithm_choice(benchmark, request, quick_config):
     """The model applies to a different Las Vegas algorithm (random restart)."""
-    problem = quick_config.benchmarks()["Costas"].problem_factory()
+    problem = quick_config.benchmarks()["Costas"].make_solver(1).problem
     solver = RandomRestartSearch(problem)
 
     def run():

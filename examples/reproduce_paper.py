@@ -16,10 +16,10 @@ import time
 from repro.experiments import ExperimentConfig
 from repro.experiments.registry import (
     EXPERIMENTS,
-    OBSERVATION_KINDS,
     collect_observations_for,
     run_experiment,
 )
+from repro.experiments.stages import STAGE_KINDS
 
 
 def main() -> None:
@@ -41,7 +41,7 @@ def main() -> None:
     start = time.perf_counter()
     campaigns = {
         kind: collect_observations_for(kind, config, cache_dir=args.cache_dir)
-        for kind in OBSERVATION_KINDS
+        for kind in STAGE_KINDS
     }
     print(f"sequential campaigns collected in {time.perf_counter() - start:.1f}s\n")
 

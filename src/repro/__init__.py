@@ -27,10 +27,9 @@ It provides four layers:
     iteration counts on every backend.
 
 ``repro.multiwalk``
-    The parallel-execution substrate: the batch container, the
+    The parallel-execution substrate: the batch container and the
     simulated independent multi-walk (minimum over blocks of independent
-    runs) and a real first-finisher-wins multi-walk executor, all routed
-    through ``repro.engine``.
+    runs); real first-finisher-wins races are ``repro.engine.run_race``.
 
 ``repro.experiments``
     The harness regenerating every table and figure of the paper's

@@ -74,13 +74,11 @@ from repro.engine.lockstep import LockstepBackend
 from repro.engine.progress import BatchProgress
 from repro.experiments.config import SAT_FAMILIES, ExperimentConfig
 from repro.experiments.data import CampaignSummary, observation_cache
-from repro.experiments.stages import canonical_emit_order
+from repro.experiments.stages import STAGE_KINDS, campaign_stages, canonical_emit_order
 from repro.sat.dimacs import bundled_instance_names
 from repro.solvers.policies import POLICIES
 from repro.experiments.registry import (
     EXPERIMENTS,
-    OBSERVATION_KINDS,
-    campaign_stages_for,
     collect_observations_for,
     list_experiments,
     run_experiment,
@@ -630,7 +628,7 @@ def _command_run(args: argparse.Namespace) -> int:
     # Collect each observation campaign at most once, with the engine flags.
     campaigns: dict[str, object] = {}
     with _engine(args) as engine:
-        for kind in OBSERVATION_KINDS:
+        for kind in STAGE_KINDS:
             if any(EXPERIMENTS[n].observations == kind for n in names):
                 campaigns[kind] = collect_observations_for(
                     kind, config, cache_dir=args.cache_dir, **engine
@@ -707,7 +705,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
     if _reject_engine_args(args):
         return 2
     config = _config_from_args(args)
-    stages = campaign_stages_for(config)
+    stages = campaign_stages(config)
     if args.stages is not None:
         try:
             stages = select_stages(stages, args.stages)

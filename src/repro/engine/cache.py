@@ -27,6 +27,9 @@ from repro.solvers.base import LasVegasAlgorithm
 
 __all__ = ["MemoryObservationCache", "ObservationCache", "algorithm_fingerprint"]
 
+#: File-name prefix of every cached batch: ``observations-{digest}.json``.
+_FILE_PREFIX = "observations"
+
 
 def _token(value: Any) -> str:
     """Render one constituent of an algorithm's identity as a stable string."""
@@ -78,16 +81,15 @@ def algorithm_fingerprint(algorithm: LasVegasAlgorithm) -> str:
 class ObservationCache:
     """Directory of JSON-serialised :class:`RuntimeObservations` batches.
 
-    Files are named ``{prefix}-{digest}.json`` where the digest hashes the
+    Files are named ``observations-{digest}.json`` where the digest hashes the
     full cache key ``(algorithm fingerprint, label, n_runs, base_seed)``.
     The cache is purely content-addressed: there is no invalidation beyond
     "a different key is a different file", which is exactly right for
     deterministic campaigns.
     """
 
-    def __init__(self, directory: str | Path, *, prefix: str = "observations") -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.prefix = prefix
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def key(
@@ -119,33 +121,7 @@ class ObservationCache:
     ) -> Path:
         """Cache file a campaign with these parameters lives at."""
         digest = self.key(algorithm, n_runs, base_seed, label=label)
-        return self.directory / f"{self.prefix}-{digest}.json"
-
-    def load(
-        self,
-        algorithm: LasVegasAlgorithm,
-        n_runs: int,
-        base_seed: int,
-        *,
-        label: str | None = None,
-    ) -> RuntimeObservations | None:
-        """Return the cached batch, or ``None`` on a miss."""
-        path = self.path_for(algorithm, n_runs, base_seed, label=label)
-        return self.read_batch(path)
-
-    def store(
-        self,
-        observations: RuntimeObservations,
-        algorithm: LasVegasAlgorithm,
-        n_runs: int,
-        base_seed: int,
-        *,
-        label: str | None = None,
-    ) -> Path:
-        """Persist a batch and return the file it was written to."""
-        path = self.path_for(algorithm, n_runs, base_seed, label=label)
-        self.write_batch(observations, path)
-        return path
+        return self.directory / f"{_FILE_PREFIX}-{digest}.json"
 
     # -- persistence hooks ---------------------------------------------
     # Key derivation above is the contract every layer shares; *where* the

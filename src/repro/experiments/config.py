@@ -19,80 +19,21 @@ provided:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping
+from typing import Mapping
 
-import numpy as np
-
-from repro.csp.permutation import PermutationProblem
-from repro.csp.problems import AllIntervalProblem, CostasArrayProblem, MagicSquareProblem
-from repro.sat.cnf import CNFFormula
-from repro.sat.dimacs import DEFAULT_INSTANCE, bundled_instance_path, load_bundled_instance
-from repro.sat.generators import (
-    clause_count_for_ratio,
-    random_ksat,
-    random_planted_ksat,
-)
-from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
+from repro.experiments.instances import BENCHMARK_KEYS, SAT_FAMILIES, InstanceMix
+from repro.sat.dimacs import DEFAULT_INSTANCE, bundled_instance_path
 from repro.solvers.policies import validate_policy
-from repro.solvers.walksat import WalkSAT, WalkSATConfig
 
 __all__ = [
     "BENCHMARK_KEYS",
-    "BenchmarkSpec",
     "ExperimentConfig",
     "SAT_FAMILIES",
     "SAT_KEY",
-    "SATBenchmarkSpec",
 ]
-
-#: Order in which the three benchmarks appear in every paper table.
-BENCHMARK_KEYS: tuple[str, ...] = ("MS", "AI", "Costas")
 
 #: Key of the SAT workload (the paper-conclusion extension) in campaign maps.
 SAT_KEY: str = "SAT"
-
-#: Instance families the SAT workload can draw from (``sat_family``).
-SAT_FAMILIES: tuple[str, ...] = ("planted", "uniform", "dimacs")
-
-
-@dataclasses.dataclass(frozen=True)
-class BenchmarkSpec:
-    """One benchmark row: problem instance plus its display label."""
-
-    key: str
-    label: str
-    problem_factory: Callable[[], PermutationProblem]
-
-    def make_solver(self, max_iterations: int) -> AdaptiveSearch:
-        """Instantiate the Adaptive Search solver for this benchmark."""
-        return AdaptiveSearch(
-            self.problem_factory(),
-            AdaptiveSearchConfig(max_iterations=max_iterations),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class SATBenchmarkSpec:
-    """One SAT workload row: a CNF instance family plus its display label.
-
-    Mirrors :class:`BenchmarkSpec` for the WalkSAT extension the paper's
-    conclusion proposes; the formula factory is deterministic in the
-    experiment seed (or a fixed DIMACS file), so repeated campaigns hit
-    the engine's content-addressed observation cache.
-    """
-
-    key: str
-    label: str
-    formula_factory: Callable[[], CNFFormula]
-    noise: float = 0.5
-    policy: str = "walksat"
-
-    def make_solver(self, max_flips: int) -> WalkSAT:
-        """Instantiate the configured WalkSAT-family solver for this instance."""
-        return WalkSAT(
-            self.formula_factory(),
-            WalkSATConfig(max_flips=max_flips, noise=self.noise, policy=self.policy),
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,30 +183,15 @@ class ExperimentConfig:
         )
 
     # ------------------------------------------------------------------
-    def benchmarks(self) -> Mapping[str, BenchmarkSpec]:
+    def benchmarks(self) -> Mapping[str, InstanceMix]:
         """The three paper benchmarks at this configuration's sizes."""
-        ms_n = self.magic_square_n
-        ai_n = self.all_interval_n
-        costas_n = self.costas_n
+        sizes = (self.magic_square_n, self.all_interval_n, self.costas_n)
         return {
-            "MS": BenchmarkSpec(
-                key="MS",
-                label=f"MS {ms_n}x{ms_n}",
-                problem_factory=lambda: MagicSquareProblem(ms_n),
-            ),
-            "AI": BenchmarkSpec(
-                key="AI",
-                label=f"AI {ai_n}",
-                problem_factory=lambda: AllIntervalProblem(ai_n),
-            ),
-            "Costas": BenchmarkSpec(
-                key="Costas",
-                label=f"Costas {costas_n}",
-                problem_factory=lambda: CostasArrayProblem(costas_n),
-            ),
+            key: InstanceMix(workload="csp", problem=key, size=size, instance_seed=self.base_seed)
+            for key, size in zip(BENCHMARK_KEYS, sizes)
         }
 
-    def sat_benchmark(self, policy: str | None = None) -> SATBenchmarkSpec:
+    def sat_benchmark(self, policy: str | None = None) -> InstanceMix:
         """The configured SAT workload (family × policy) at this size.
 
         Generated instances are drawn deterministically from the
@@ -279,50 +205,22 @@ class ExperimentConfig:
         campaign, which collects one batch per registered policy.
         """
         policy = self.sat_policy if policy is None else policy
-        n = self.sat_n_variables
-        n_clauses = clause_count_for_ratio(n, self.sat_clause_ratio)
-        k = self.sat_k
-
-        if self.sat_family == "planted":
-            # Distinct root: the instance draw must not correlate with runs.
-            instance_seed = (self.base_seed, 0x5A7)
-
-            def formula_factory() -> CNFFormula:
-                rng = np.random.default_rng(instance_seed)
-                formula, _planted = random_planted_ksat(n, n_clauses, k, rng=rng)
-                return formula
-
-            label = f"{k}-SAT {n}@{self.sat_clause_ratio:g}"
-        elif self.sat_family == "uniform":
-            # Different root from the planted draw so the two families never
-            # share an instance even at identical sizes.  The constant was
-            # picked (once, offline) so the default profiles' draws at the
-            # default base seed are satisfiable-but-hard: a satisfiable
-            # instance keeps ``sat_portfolio`` meaningful while the heavy
-            # tail still censors runs at tight budgets (nearby constants
-            # give unsatisfiable draws at n=50 or n=150).
-            instance_seed = (self.base_seed, 0x5AA)
-
-            def formula_factory() -> CNFFormula:
-                rng = np.random.default_rng(instance_seed)
-                return random_ksat(n, n_clauses, k, rng=rng)
-
-            label = f"uniform {k}-SAT {n}@{self.sat_clause_ratio:g}"
-        else:  # "dimacs" (family and instance name validated in __post_init__)
-            name = self.sat_dimacs
-
-            def formula_factory() -> CNFFormula:
-                return load_bundled_instance(name)
-
-            label = f"dimacs {name}"
-
-        if policy != "walksat":
-            label = f"{label} [{policy}]"
-        return SATBenchmarkSpec(
-            key=SAT_KEY,
-            label=label,
-            formula_factory=formula_factory,
+        if self.sat_family == "dimacs":  # instance name validated in __post_init__
+            return InstanceMix(
+                workload="sat",
+                sat_family="dimacs",
+                dimacs=self.sat_dimacs,
+                policy=policy,
+                instance_seed=self.base_seed,
+            )
+        return InstanceMix(
+            workload="sat",
+            sat_family=self.sat_family,
+            n_variables=self.sat_n_variables,
+            clause_ratio=self.sat_clause_ratio,
+            k=self.sat_k,
             policy=policy,
+            instance_seed=self.base_seed,
         )
 
     #: Distribution family the paper fits to each benchmark (Section 6).

@@ -20,22 +20,16 @@ from repro.experiments.data import (
     collect_sat_observations,
     collect_sat_policy_observations,
 )
-from repro.experiments.stages import STAGE_KINDS, campaign_stages
+from repro.experiments.stages import STAGE_KINDS
 from repro.experiments import figures_experiments, figures_fits, figures_model, sat, tables
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentEntry",
-    "OBSERVATION_KINDS",
-    "campaign_stages_for",
     "collect_observations_for",
     "list_experiments",
     "run_experiment",
 ]
-
-#: Observation-campaign kinds an experiment can declare — the registered
-#: stage vocabulary of :mod:`repro.experiments.stages`.
-OBSERVATION_KINDS: tuple[str, ...] = STAGE_KINDS
 
 #: Campaign collectors per kind (signature of collect_benchmark_observations).
 #: Each one executes the corresponding stage definitions through the
@@ -47,18 +41,6 @@ _COLLECTORS: Mapping[str, Callable] = {
     "sat": collect_sat_observations,
     "sat_policies": collect_sat_policy_observations,
 }
-
-
-def campaign_stages_for(config: ExperimentConfig, kinds=OBSERVATION_KINDS):
-    """Registered stage definitions for the requested observation kinds.
-
-    The declarative face of the collectors: the returned
-    :class:`repro.campaign.StageSpec` DAG is what the ``campaign``
-    subcommand hands to :func:`repro.campaign.run_campaign` (with any
-    controller), while :func:`collect_observations_for` remains the
-    controller-``off`` shortcut the experiments use.
-    """
-    return campaign_stages(config, kinds=kinds)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,9 +65,9 @@ class ExperimentEntry:
     description: str
 
     def __post_init__(self) -> None:
-        if self.observations is not None and self.observations not in OBSERVATION_KINDS:
+        if self.observations is not None and self.observations not in STAGE_KINDS:
             raise ValueError(
-                f"observations must be one of {OBSERVATION_KINDS} or None, "
+                f"observations must be one of {STAGE_KINDS} or None, "
                 f"got {self.observations!r}"
             )
 

@@ -18,8 +18,10 @@ The stage DAG for a full campaign:
   ``after`` the ``SAT`` stage: they share its instance and seed stream,
   and the baseline lands first in every log and summary.
 
-:data:`STAGE_KINDS` is the authoritative list of observation kinds; the
-experiment registry re-exports it as ``OBSERVATION_KINDS``.
+:data:`STAGE_KINDS` is the authoritative list of observation kinds (the
+experiment registry and the recipe schema import it from here).  Each
+stage's label and solver come from its
+:class:`~repro.experiments.instances.InstanceMix` descriptor.
 """
 
 from __future__ import annotations

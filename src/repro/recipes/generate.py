@@ -35,21 +35,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
-import numpy as np
-
 from repro.campaign.stages import StageSpec
 from repro.recipes.schema import CampaignRecipe, InstanceMix, RecipeError, StageRecipe
 
 __all__ = ["describe_campaign", "generate_stages", "generate_submission"]
-
-#: Instance-draw salts, mirroring ``ExperimentConfig.sat_benchmark`` — the
-#: draw ``default_rng((seed, salt))`` must match the config's bit for bit
-#: or scale-1 replay breaks (pinned by the round-trip test).
-_PLANTED_SALT = 0x5A7
-_UNIFORM_SALT = 0x5AA
-
-#: Noise of generated WalkSAT solvers, mirroring ``SATBenchmarkSpec.noise``.
-_SAT_NOISE = 0.5
 
 
 def _derive_seed(root: int, key: str, replica: int) -> int:
@@ -102,72 +91,6 @@ def _plan(recipe: CampaignRecipe, *, scale: int, base_seed: int | None) -> list[
     return plans
 
 
-def _make_solver_factory(instance: InstanceMix):
-    """``make_solver(budget)`` for one generated stage's instance mix."""
-    if instance.workload == "csp":
-        from repro.csp.problems import (
-            AllIntervalProblem,
-            CostasArrayProblem,
-            MagicSquareProblem,
-        )
-        from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
-
-        problem_cls = {
-            "MS": MagicSquareProblem,
-            "AI": AllIntervalProblem,
-            "Costas": CostasArrayProblem,
-        }[instance.problem]
-        size = instance.size
-
-        def make_csp_solver(budget: int):
-            return AdaptiveSearch(
-                problem_cls(size), AdaptiveSearchConfig(max_iterations=budget)
-            )
-
-        return make_csp_solver
-
-    from repro.sat.dimacs import load_bundled_instance
-    from repro.sat.generators import (
-        clause_count_for_ratio,
-        random_ksat,
-        random_planted_ksat,
-    )
-    from repro.solvers.walksat import WalkSAT, WalkSATConfig
-
-    policy = instance.policy
-    if instance.sat_family == "dimacs":
-        name = instance.dimacs
-
-        def formula_factory():
-            return load_bundled_instance(name)
-
-    else:
-        n = instance.n_variables
-        k = instance.k
-        n_clauses = clause_count_for_ratio(n, instance.clause_ratio)
-        seed = instance.instance_seed
-        if instance.sat_family == "planted":
-
-            def formula_factory():
-                rng = np.random.default_rng((seed, _PLANTED_SALT))
-                formula, _planted = random_planted_ksat(n, n_clauses, k, rng=rng)
-                return formula
-
-        else:  # uniform
-
-            def formula_factory():
-                rng = np.random.default_rng((seed, _UNIFORM_SALT))
-                return random_ksat(n, n_clauses, k, rng=rng)
-
-    def make_sat_solver(budget: int):
-        return WalkSAT(
-            formula_factory(),
-            WalkSATConfig(max_flips=budget, noise=_SAT_NOISE, policy=policy),
-        )
-
-    return make_sat_solver
-
-
 def generate_stages(
     recipe: CampaignRecipe, *, scale: int = 1, base_seed: int | None = None
 ) -> list[StageSpec]:
@@ -185,7 +108,7 @@ def generate_stages(
                 key=plan["key"],
                 label=plan["label"],
                 kind=plan["kind"],
-                make_solver=_make_solver_factory(instance),
+                make_solver=instance.make_solver,
                 quota=plan["quota"],
                 base_seed=plan["base_seed"],
                 budget=plan["budget"],

@@ -27,10 +27,10 @@ the BUG-021 campaign guardrail).
 
 from __future__ import annotations
 
-import re
+import dataclasses
 
 from repro.campaign.report import CampaignReport, StageReport
-from repro.experiments.config import BENCHMARK_KEYS
+from repro.experiments.instances import BENCHMARK_KEYS
 from repro.recipes.schema import (
     CampaignRecipe,
     FittedDistribution,
@@ -47,71 +47,31 @@ __all__ = ["HEAVY_TAIL_LOG_SIGMA", "ProfileError", "profile_report"]
 #: restart decision (`AdaptiveController.heavy_tail_log_sigma`).
 HEAVY_TAIL_LOG_SIGMA = 1.0
 
-_CSP_LABELS = {
-    "MS": re.compile(r"^MS (?P<size>\d+)x(?P=size)$"),
-    "AI": re.compile(r"^AI (?P<size>\d+)$"),
-    "Costas": re.compile(r"^Costas (?P<size>\d+)$"),
-}
-_SAT_LABEL = re.compile(
-    r"^(?:(?P<uniform>uniform )?(?P<k>\d+)-SAT (?P<n>\d+)@(?P<ratio>[0-9.]+)"
-    r"|dimacs (?P<dimacs>\S+))"
-    r"(?: \[(?P<policy>[\w+-]+)\])?$"
-)
-
 
 class ProfileError(ValueError):
     """A campaign report cannot be profiled into a recipe."""
 
 
-def _parse_instance(stage: StageReport) -> InstanceMix:
-    """Recover the instance mix from a stage's label, key and seed root."""
-    if stage.kind == "benchmarks":
-        pattern = _CSP_LABELS.get(stage.key)
-        if pattern is None:
-            raise ProfileError(
-                f"stage {stage.key!r}: unknown benchmark key (known: {BENCHMARK_KEYS})"
-            )
-        match = pattern.match(stage.label)
-        if match is None:
-            raise ProfileError(
-                f"stage {stage.key!r}: cannot parse benchmark label {stage.label!r}"
-            )
-        # Benchmark seed roots are config.base_seed + table offset.
-        offset = BENCHMARK_KEYS.index(stage.key)
-        return InstanceMix(
-            workload="csp",
-            problem=stage.key,
-            size=int(match.group("size")),
-            instance_seed=stage.base_seed - offset,
+def _instance(stage: StageReport) -> InstanceMix:
+    """The stage label's instance mix, at the config seed its seed root encodes."""
+    # Benchmark seed roots are config.base_seed + table offset; SAT stages
+    # (and the policy family, which shares the SAT seed stream) sit past
+    # the three benchmark seed roots.
+    if stage.kind == "benchmarks" and stage.key in BENCHMARK_KEYS:
+        offset, problem = BENCHMARK_KEYS.index(stage.key), stage.key
+    elif stage.kind in ("sat", "sat_policies"):
+        offset, problem = len(BENCHMARK_KEYS), None
+    else:
+        raise ProfileError(f"stage {stage.key!r}: unknown {stage.kind!r} stage")
+    try:
+        instance = InstanceMix.from_label(stage.label)
+    except RecipeError as exc:
+        raise ProfileError(f"stage {stage.key!r}: {exc}") from None
+    if instance.problem != problem:
+        raise ProfileError(
+            f"stage {stage.key!r}: label {stage.label!r} does not fit a {stage.kind!r} stage"
         )
-
-    if stage.kind in ("sat", "sat_policies"):
-        match = _SAT_LABEL.match(stage.label)
-        if match is None:
-            raise ProfileError(f"stage {stage.key!r}: cannot parse SAT label {stage.label!r}")
-        policy = match.group("policy") or "walksat"
-        # SAT stages (and the policy family, which shares the SAT seed
-        # stream) sit past the three benchmark seed roots.
-        instance_seed = stage.base_seed - len(BENCHMARK_KEYS)
-        if match.group("dimacs"):
-            return InstanceMix(
-                workload="sat",
-                sat_family="dimacs",
-                dimacs=match.group("dimacs"),
-                policy=policy,
-                instance_seed=instance_seed,
-            )
-        return InstanceMix(
-            workload="sat",
-            sat_family="uniform" if match.group("uniform") else "planted",
-            n_variables=int(match.group("n")),
-            clause_ratio=float(match.group("ratio")),
-            k=int(match.group("k")),
-            policy=policy,
-            instance_seed=instance_seed,
-        )
-
-    raise ProfileError(f"stage {stage.key!r}: unknown stage kind {stage.kind!r}")
+    return dataclasses.replace(instance, instance_seed=stage.base_seed - offset)
 
 
 def _fit_runtime(stage: StageReport) -> FittedDistribution:
@@ -178,7 +138,7 @@ def profile_report(
                 key=stage.key,
                 label=stage.label,
                 kind=stage.kind,
-                instance=_parse_instance(stage),
+                instance=_instance(stage),
                 runtime=runtime,
                 censoring_rate=n_censored / len(stage.stream),
                 quota=stage.quota,

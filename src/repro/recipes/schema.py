@@ -8,6 +8,11 @@ unknown format versions, unknown families/kinds/workloads and out-of-range
 values are :class:`RecipeError` at parse time, never a half-built campaign
 later (the same posture as :mod:`repro.service.schema`).
 
+A stage's instance mix is the shared
+:class:`~repro.experiments.instances.InstanceMix` descriptor (re-exported
+here with its :class:`RecipeError`), the same one experiment configs build
+their stages from.
+
 Round-trip losslessness is part of the contract and pinned by tests:
 ``CampaignRecipe.from_dict(r.as_dict())`` equals ``r``, and
 ``load(save(r))`` reproduces the JSON byte for byte.
@@ -25,7 +30,16 @@ import math
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
+
+from repro.experiments.instances import (
+    InstanceMix,
+    RecipeError,
+    _finite,
+    _positive_int,
+    _require_keys,
+)
+from repro.experiments.stages import STAGE_KINDS
 
 __all__ = [
     "CampaignRecipe",
@@ -48,50 +62,8 @@ DISTRIBUTION_FAMILIES: Mapping[str, tuple[str, ...]] = {
     "lognormal": ("mu", "sigma"),
 }
 
-#: Workload kinds a stage may declare (the campaign-stage vocabulary).
-STAGE_KINDS: tuple[str, ...] = ("benchmarks", "sat", "sat_policies")
-
-#: Instance workloads a recipe stage can describe.
-WORKLOADS: tuple[str, ...] = ("csp", "sat")
-
-#: CSP problems the generator can rebuild (key → importable problem).
-CSP_PROBLEMS: tuple[str, ...] = ("MS", "AI", "Costas")
-
-#: SAT instance families the generator can draw from.
-SAT_FAMILIES: tuple[str, ...] = ("planted", "uniform", "dimacs")
-
 #: Recipe names double as filenames and CLI arguments; keep them safe.
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
-
-
-class RecipeError(ValueError):
-    """A recipe document failed validation."""
-
-
-def _require_keys(payload: Mapping, allowed: Sequence[str], where: str) -> None:
-    if not isinstance(payload, Mapping):
-        raise RecipeError(f"{where} must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise RecipeError(f"{where}: unknown fields {unknown}")
-
-
-def _finite(value: object, where: str) -> float:
-    try:
-        out = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise RecipeError(f"{where} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise RecipeError(f"{where} must be finite, got {out!r}")
-    return out
-
-
-def _positive_int(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RecipeError(f"{where} must be an integer, got {value!r}")
-    if value < 1:
-        raise RecipeError(f"{where} must be >= 1, got {value}")
-    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,111 +133,6 @@ class FittedDistribution:
             n_events=payload["n_events"],
             n_censored=payload["n_censored"],
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class InstanceMix:
-    """What instances a stage's runs were (and will be) drawn over.
-
-    ``workload="csp"`` names one of the registered permutation problems at
-    a size; ``workload="sat"`` names an instance family (planted draws,
-    uniform-ratio draws or a bundled DIMACS file), the draw parameters and
-    the flip policy.  ``instance_seed`` is the configuration-level seed the
-    generated draw derives from — recording it is what lets ``scale=1``
-    generation rebuild the *same* formula the profiled campaign solved.
-    """
-
-    workload: str
-    problem: str | None = None
-    size: int | None = None
-    sat_family: str | None = None
-    n_variables: int | None = None
-    clause_ratio: float | None = None
-    k: int | None = None
-    policy: str | None = None
-    dimacs: str | None = None
-    instance_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.workload not in WORKLOADS:
-            raise RecipeError(
-                f"unknown workload {self.workload!r} (workloads: {', '.join(WORKLOADS)})"
-            )
-        if self.workload == "csp":
-            if self.problem not in CSP_PROBLEMS:
-                raise RecipeError(
-                    f"csp workload needs problem in {CSP_PROBLEMS}, got {self.problem!r}"
-                )
-            _positive_int(self.size, "instance.size")
-            forbidden = {
-                name: getattr(self, name)
-                for name in ("sat_family", "n_variables", "clause_ratio", "k", "policy", "dimacs")
-                if getattr(self, name) is not None
-            }
-            if forbidden:
-                raise RecipeError(f"csp workload forbids SAT fields {sorted(forbidden)}")
-        else:  # sat
-            if self.sat_family not in SAT_FAMILIES:
-                raise RecipeError(
-                    f"sat workload needs sat_family in {SAT_FAMILIES}, got {self.sat_family!r}"
-                )
-            if self.problem is not None or self.size is not None:
-                raise RecipeError("sat workload forbids csp fields ['problem', 'size']")
-            if not isinstance(self.policy, str) or not self.policy:
-                raise RecipeError(f"sat workload needs a policy, got {self.policy!r}")
-            if self.sat_family == "dimacs":
-                if not isinstance(self.dimacs, str) or not self.dimacs:
-                    raise RecipeError("sat_family 'dimacs' needs a dimacs instance name")
-            else:
-                _positive_int(self.n_variables, "instance.n_variables")
-                _positive_int(self.k, "instance.k")
-                if _finite(self.clause_ratio, "instance.clause_ratio") <= 0:
-                    raise RecipeError(
-                        f"instance.clause_ratio must be positive, got {self.clause_ratio!r}"
-                    )
-                if self.dimacs is not None:
-                    raise RecipeError("generated SAT families forbid a dimacs name")
-        if self.instance_seed is not None and (
-            isinstance(self.instance_seed, bool) or not isinstance(self.instance_seed, int)
-        ):
-            raise RecipeError(f"instance_seed must be an integer, got {self.instance_seed!r}")
-
-    def as_dict(self) -> dict:
-        out: dict = {"workload": self.workload}
-        for name in (
-            "problem",
-            "size",
-            "sat_family",
-            "n_variables",
-            "clause_ratio",
-            "k",
-            "policy",
-            "dimacs",
-            "instance_seed",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "InstanceMix":
-        allowed = (
-            "workload",
-            "problem",
-            "size",
-            "sat_family",
-            "n_variables",
-            "clause_ratio",
-            "k",
-            "policy",
-            "dimacs",
-            "instance_seed",
-        )
-        _require_keys(payload, allowed, "instance")
-        if "workload" not in payload:
-            raise RecipeError("instance: missing field 'workload'")
-        return cls(**{name: payload.get(name) for name in allowed})
 
 
 @dataclasses.dataclass(frozen=True)

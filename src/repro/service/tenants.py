@@ -162,11 +162,9 @@ class TenantCacheStore:
             for tenant_dir in self.tenants_dir.iterdir():
                 (tenant_dir / name).unlink(missing_ok=True)
 
-    def tenant_cache(
-        self, tenant: str, *, prefix: str = "observations"
-    ) -> "TenantObservationCache":
+    def tenant_cache(self, tenant: str) -> "TenantObservationCache":
         """The engine-facing cache adapter for one tenant."""
-        return TenantObservationCache(self, tenant, prefix=prefix)
+        return TenantObservationCache(self, tenant)
 
 
 class TenantObservationCache(ObservationCache):
@@ -178,10 +176,8 @@ class TenantObservationCache(ObservationCache):
     shared multi-tenant pool.
     """
 
-    def __init__(
-        self, store: TenantCacheStore, tenant: str, *, prefix: str = "observations"
-    ) -> None:
-        super().__init__(store.tenant_dir(tenant), prefix=prefix)
+    def __init__(self, store: TenantCacheStore, tenant: str) -> None:
+        super().__init__(store.tenant_dir(tenant))
         self.store_backend = store
         self.tenant = tenant
 

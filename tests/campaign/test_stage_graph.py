@@ -151,6 +151,7 @@ class TestExperimentStages:
         ]
 
     def test_stage_kinds_are_the_registry_vocabulary(self):
-        from repro.experiments.registry import OBSERVATION_KINDS
+        from repro.experiments.registry import EXPERIMENTS
 
-        assert OBSERVATION_KINDS == STAGE_KINDS
+        declared = {entry.observations for entry in EXPERIMENTS.values()} - {None}
+        assert declared == set(STAGE_KINDS)

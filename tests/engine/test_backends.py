@@ -17,6 +17,7 @@ from repro.engine.backends import (
     default_worker_count,
 )
 from repro.engine.core import collect_batch, resolve_backend, run_race
+from repro.engine.seeding import spawn_seeds
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 
@@ -129,6 +130,10 @@ class TestRunRace:
         assert outcome.solved
         assert outcome.winner_index == 0  # synthetic always solves
         assert outcome.n_completed == 1  # remaining walks were cancelled
+        # Walk i runs on the i-th child of the batch seed tree.
+        assert outcome.winner_result.iterations == (
+            SyntheticAlgorithm().run(spawn_seeds(5, 8)[0]).iterations
+        )
 
     def test_unsolved_tie_break_lowest_index(self):
         class NeverSolves(LasVegasAlgorithm):
@@ -195,3 +200,7 @@ class TestRunRace:
     def test_rejects_zero_walks(self):
         with pytest.raises(ValueError):
             run_race(SyntheticAlgorithm(), 0)
+
+    def test_winner_runtime_within_race_wall_clock(self):
+        outcome = run_race(SyntheticAlgorithm(), 4, base_seed=2)
+        assert 0.0 <= outcome.winner_result.runtime_seconds <= outcome.wall_clock_seconds

@@ -58,7 +58,7 @@ class TestObservationCache:
         cache = ObservationCache(tmp_path)
         batch = collect_batch(CountingAlgorithm(), 10, base_seed=1, cache=cache)
         # Probe with a pristine object, as a later process would.
-        loaded = cache.load(CountingAlgorithm(), 10, 1, label=batch.label)
+        loaded = cache.read_batch(cache.path_for(CountingAlgorithm(), 10, 1, label=batch.label))
         assert loaded is not None
         np.testing.assert_array_equal(loaded.iterations, batch.iterations)
         np.testing.assert_array_equal(loaded.seeds, batch.seeds)
@@ -93,7 +93,7 @@ class TestObservationCache:
 
     def test_miss_returns_none(self, tmp_path):
         cache = ObservationCache(tmp_path)
-        assert cache.load(CountingAlgorithm(), 5, 0) is None
+        assert cache.read_batch(cache.path_for(CountingAlgorithm(), 5, 0)) is None
 
     def test_different_seed_triggers_fresh_campaign(self, tmp_path):
         algo = CountingAlgorithm()

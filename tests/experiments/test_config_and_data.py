@@ -38,8 +38,8 @@ class TestExperimentConfig:
         for key, spec in tiny_config.benchmarks().items():
             solver = spec.make_solver(100)
             assert solver.config.max_iterations == 100
-            assert spec.label
-            assert spec.key == key
+            assert spec.label.startswith(key)
+            assert spec.problem == key
 
     def test_paper_families_and_shift_rules(self, tiny_config):
         assert tiny_config.paper_family("MS") == "shifted_lognormal"
@@ -51,9 +51,9 @@ class TestExperimentConfig:
         config = ExperimentConfig(magic_square_n=5, all_interval_n=20, costas_n=11,
                                   n_sequential_runs=2)
         specs = config.benchmarks()
-        assert specs["MS"].problem_factory().size == 25
-        assert specs["AI"].problem_factory().size == 20
-        assert specs["Costas"].problem_factory().size == 11
+        assert specs["MS"].make_solver(1).problem.size == 25
+        assert specs["AI"].make_solver(1).problem.size == 20
+        assert specs["Costas"].make_solver(1).problem.size == 11
 
 
 class TestCampaignCollection:
@@ -135,19 +135,19 @@ class TestSATConfig:
     def test_sat_benchmark_spec_is_deterministic(self, tiny_config):
         a = tiny_config.sat_benchmark()
         b = tiny_config.sat_benchmark()
-        assert a.key == SAT_KEY
+        assert a == b
         assert a.label == b.label
         # Same config -> the very same formula: this is what makes SAT
         # campaigns content-addressable in the engine cache.
-        assert a.formula_factory().clauses == b.formula_factory().clauses
+        assert a.make_solver(1).formula.clauses == b.make_solver(1).formula.clauses
 
     def test_different_seed_changes_the_instance(self, tiny_config):
         import dataclasses
 
         other = dataclasses.replace(tiny_config, base_seed=tiny_config.base_seed + 1)
         assert (
-            tiny_config.sat_benchmark().formula_factory().clauses
-            != other.sat_benchmark().formula_factory().clauses
+            tiny_config.sat_benchmark().make_solver(1).formula.clauses
+            != other.sat_benchmark().make_solver(1).formula.clauses
         )
 
     def test_spec_builds_walksat_solver(self, tiny_config):

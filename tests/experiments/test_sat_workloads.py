@@ -34,17 +34,17 @@ class TestFamilies:
             _tiny(sat_policy="gsat")
 
     @pytest.mark.parametrize("family", SAT_FAMILIES)
-    def test_formula_factory_is_deterministic(self, family):
+    def test_formula_is_deterministic(self, family):
         config = _tiny(sat_family=family)
-        a = config.sat_benchmark().formula_factory()
-        b = config.sat_benchmark().formula_factory()
+        a = config.sat_benchmark().make_solver(1).formula
+        b = config.sat_benchmark().make_solver(1).formula
         assert a.clauses == b.clauses
         assert a.n_variables == b.n_variables
 
     def test_families_produce_distinct_instances(self):
-        planted = _tiny(sat_family="planted").sat_benchmark().formula_factory()
-        uniform = _tiny(sat_family="uniform").sat_benchmark().formula_factory()
-        dimacs = _tiny(sat_family="dimacs").sat_benchmark().formula_factory()
+        planted = _tiny(sat_family="planted").sat_benchmark().make_solver(1).formula
+        uniform = _tiny(sat_family="uniform").sat_benchmark().make_solver(1).formula
+        dimacs = _tiny(sat_family="dimacs").sat_benchmark().make_solver(1).formula
         assert planted.clauses != uniform.clauses
         assert dimacs.n_variables != planted.n_variables or dimacs.clauses != planted.clauses
 
@@ -56,7 +56,7 @@ class TestFamilies:
 
     def test_dimacs_instance_is_selectable(self):
         config = _tiny(sat_family="dimacs", sat_dimacs="uf50-218-s1")
-        formula = config.sat_benchmark().formula_factory()
+        formula = config.sat_benchmark().make_solver(1).formula
         assert (formula.n_variables, formula.n_clauses) == (50, 218)
 
     def test_unknown_dimacs_instance_fails_at_configuration_time(self):
@@ -69,7 +69,7 @@ class TestFamilies:
         # The name is only consulted by the dimacs family; a stale value
         # must not break planted/uniform configurations.
         config = _tiny(sat_family="planted", sat_dimacs="missing-instance")
-        assert config.sat_benchmark().formula_factory().n_variables == 25
+        assert config.sat_benchmark().make_solver(1).formula.n_variables == 25
 
     def test_spec_policy_override_reaches_the_solver(self):
         solver = _tiny().sat_benchmark(policy="novelty+").make_solver(1000)

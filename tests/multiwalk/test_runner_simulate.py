@@ -55,6 +55,29 @@ class TestRunner:
         )
         assert seen == [0, 1, 2, 3, 4]
 
+    def test_batch_minimum_matches_rerun_walks(self):
+        """A batch's minimum is the best of its walks re-run one by one."""
+        algo = SyntheticAlgorithm()
+        batch = collect_batch(algo, 16, base_seed=0)
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(0).spawn(16)]
+        assert batch.iterations.min() == min(algo.run(seed).iterations for seed in seeds)
+
+    def test_more_runs_never_raise_the_minimum(self):
+        """Multi-walk minimum is non-increasing in the walk count (same seed tree)."""
+        for seed in range(15):
+            few = collect_batch(SyntheticAlgorithm(), 2, base_seed=seed).iterations.min()
+            many = collect_batch(SyntheticAlgorithm(), 16, base_seed=seed).iterations.min()
+            assert many <= few
+
+    def test_unsolved_runs_stop_at_budget(self):
+        from repro.csp.problems import NQueensProblem
+        from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
+
+        solver = AdaptiveSearch(NQueensProblem(30), AdaptiveSearchConfig(max_iterations=2))
+        batch = collect_batch(solver, 3, base_seed=0)
+        assert not batch.solved.any()
+        assert batch.iterations.max() <= 2
+
 
 class TestSimulatedMultiwalk:
     def test_linear_speedup_for_exponential_data(self, rng):

@@ -117,9 +117,24 @@ class TestInstanceParsing:
         assert stage.instance.sat_family == family
         assert stage.instance.policy == policy
 
-    def test_unparseable_label_is_rejected(self):
-        with pytest.raises(ProfileError, match="cannot parse"):
-            profile_report(make_report(make_stream([10, 20]), label="mystery"), name="bad")
+    @pytest.mark.parametrize(
+        "label, key, kind, message",
+        [
+            ("mystery", "SAT", "sat", "cannot parse"),
+            ("3-SAT 25@4.20", "SAT", "sat", "not canonical"),
+            ("3-SAT 25@4.2 [walksat]", "SAT", "sat", "not canonical"),
+            ("MS 3", "MS", "benchmarks", "not canonical"),
+            ("MS 3x4", "MS", "benchmarks", "not canonical"),
+            ("AI 8x8", "AI", "benchmarks", "not canonical"),
+            ("Sudoku 9", "MS", "benchmarks", "needs problem"),
+            ("MS 3x3", "SAT", "sat", "does not fit"),
+            ("AI 8", "MS", "benchmarks", "does not fit"),
+        ],
+    )
+    def test_unparseable_label_is_rejected(self, label, key, kind, message):
+        report = make_report(make_stream([10, 20]), label=label, key=key, kind=kind)
+        with pytest.raises(ProfileError, match=message):
+            profile_report(report, name="bad")
 
 
 class TestGuardrails:

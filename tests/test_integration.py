@@ -19,7 +19,6 @@ from repro.core.distributions import LogNormalRuntime
 from repro.core.prediction import predict_speedup_empirical
 from repro.csp.problems import CostasArrayProblem, NQueensProblem
 from repro.engine import collect_batch
-from repro.multiwalk.parallel import emulate_multiwalk
 from repro.sat import random_planted_ksat
 from repro.solvers import AdaptiveSearch, AdaptiveSearchConfig, WalkSAT, WalkSATConfig
 
@@ -98,7 +97,10 @@ class TestSolverPipeline:
     def test_real_multiwalk_outcome_consistent_with_prediction(self, costas_observations):
         """An actually-executed 8-walk run should usually beat the sequential mean."""
         solver = AdaptiveSearch(CostasArrayProblem(8), AdaptiveSearchConfig(max_iterations=100_000))
-        outcomes = [emulate_multiwalk(solver, 8, base_seed=s).min_iterations for s in range(5)]
+        outcomes = []
+        for seed in range(5):
+            batch = collect_batch(solver, 8, base_seed=seed)
+            outcomes.append(batch.iterations[batch.solved].min())
         assert np.mean(outcomes) < costas_observations.values("iterations").mean()
 
 
