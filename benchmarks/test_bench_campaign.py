@@ -1,6 +1,6 @@
 """Benches for the campaign orchestrator and its controllers.
 
-Two questions, both recorded into ``BENCH_results.json``:
+Three questions, all recorded into ``BENCH_results.json``:
 
 * What does routing a classic campaign through the orchestrator *cost*?
   The ``off``/``static`` controllers run the exact same solver work as the
@@ -15,15 +15,20 @@ Two questions, both recorded into ``BENCH_results.json``:
   (``static_seconds * quota / static_solved``) so both arms price the same
   deliverable.  The >= 1.0x gate is enforced with ``REPRO_ASSERT_SPEEDUP=1``
   (hosted runners keep it advisory, like the other speedup gates).
+* Does the process backend beat serial on that adaptive stage?  Every
+  adaptive round of one campaign runs on one warm 2-worker pool, so the
+  ratio prices one pool start plus dispatch against 2-way parallel
+  solver time (advisory >= 1.0x gate under ``REPRO_ASSERT_SPEEDUP=1``).
 """
 
+import dataclasses
 import os
 import time
 
 import numpy as np
 import pytest
 
-from repro.campaign import StageSpec, run_campaign
+from repro.campaign import AdaptiveController, StageSpec, run_campaign
 from repro.sat.generators import clause_count_for_ratio, random_ksat
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 from repro.solvers.walksat import WalkSAT, WalkSATConfig
@@ -65,6 +70,10 @@ SAT_RATIO = 4.2
 SAT_NOISE = 0.1
 SAT_BUDGET = 20_000
 SAT_QUOTA = 12
+#: The process-vs-serial arm: a larger quota (more adaptive rounds) on
+#: two workers, with the allocation choosing between one and two.
+PROCESS_QUOTA = 24
+PROCESS_WORKERS = 2
 
 
 def _heavy_tail_stage() -> StageSpec:
@@ -196,4 +205,51 @@ def test_adaptive_beats_static_on_censoring_heavy_sat(benchmark, bench_results):
         assert adaptive_fps <= static_fps, (
             f"adaptive should spend fewer flips per solved observation, got "
             f"{adaptive_fps:.0f} vs {static_fps:.0f}"
+        )
+
+
+@pytest.mark.benchmark(group="campaign-speedup")
+def test_adaptive_process_vs_serial(benchmark, bench_results):
+    """The adaptive SAT stage on a warm process pool against serial.
+
+    Both arms make the same decisions on the same run stream (asserted),
+    so the ratio is pure execution: pool start, dispatch and 2-way
+    parallel solver time against one in-process loop.
+    """
+    stage = dataclasses.replace(_heavy_tail_stage(), quota=PROCESS_QUOTA)
+
+    def campaign(backend, workers):
+        controller = AdaptiveController(candidate_workers=(1, PROCESS_WORKERS))
+        return run_campaign([stage], controller=controller, backend=backend, workers=workers)
+
+    start = time.perf_counter()
+    serial = campaign("serial", None)
+    serial_seconds = time.perf_counter() - start
+    pooled = benchmark.pedantic(
+        campaign, args=("process", PROCESS_WORKERS), rounds=1, iterations=1, warmup_rounds=0
+    )
+    process_seconds = benchmark.stats.stats.mean
+    assert pooled.decision_dicts() == serial.decision_dicts()
+    rounds = sum(1 for d in serial.decision_dicts() if d["kind"] == "round")
+
+    speedup = serial_seconds / process_seconds if process_seconds > 0 else float("inf")
+    bench_results.record(
+        "campaign-speedup[adaptive-process-vs-serial]",
+        "wall_clock_speedup_vs_serial",
+        speedup,
+        workers=PROCESS_WORKERS,
+        quota=PROCESS_QUOTA,
+        budget=SAT_BUDGET,
+        rounds=rounds,
+        serial_seconds=serial_seconds,
+        process_seconds=process_seconds,
+    )
+    print(
+        f"\ncampaign-speedup: serial {serial_seconds:.2f}s vs process[{PROCESS_WORKERS}] "
+        f"{process_seconds:.2f}s over {rounds} rounds -> {speedup:.2f}x"
+    )
+    if os.environ.get("REPRO_ASSERT_SPEEDUP") == "1":
+        assert speedup >= 1.0, (
+            f"a warm {PROCESS_WORKERS}-worker pool should not lose to serial on the "
+            f"adaptive SAT stage, got {speedup:.2f}x"
         )

@@ -43,59 +43,55 @@ Quickstart
 >>> observations = ShiftedExponential(x0=100.0, lam=1e-3).sample(rng, 500)
 >>> result = predict_speedup_curve(observations, cores=[16, 64, 256])
 >>> result.family
-'shifted_exponential'
+'shifted_gamma'
 """
 
 from __future__ import annotations
 
-from repro.core.distributions import (
-    EmpiricalDistribution,
-    GammaRuntime,
-    LogNormalRuntime,
-    ParetoRuntime,
-    RuntimeDistribution,
-    ShiftedExponential,
-    TruncatedGaussian,
-    UniformRuntime,
-    WeibullRuntime,
-    distribution_registry,
-)
-from repro.core.minimum import MinDistribution
-from repro.core.prediction import (
-    PredictionResult,
-    predict_speedup_curve,
-    predict_speedup_from_distribution,
-)
-from repro.core.speedup import SpeedupModel
-from repro.core.fitting import FitResult, fit_distribution, select_best_fit
-from repro.engine import collect_batch, run_race
-from repro.multiwalk.observations import RuntimeObservations
-from repro.multiwalk.simulate import simulate_multiwalk_speedups
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EmpiricalDistribution",
-    "FitResult",
-    "GammaRuntime",
-    "LogNormalRuntime",
-    "MinDistribution",
-    "ParetoRuntime",
-    "PredictionResult",
-    "RuntimeDistribution",
-    "RuntimeObservations",
-    "ShiftedExponential",
-    "SpeedupModel",
-    "TruncatedGaussian",
-    "UniformRuntime",
-    "WeibullRuntime",
-    "collect_batch",
-    "distribution_registry",
-    "fit_distribution",
-    "predict_speedup_curve",
-    "predict_speedup_from_distribution",
-    "run_race",
-    "select_best_fit",
-    "simulate_multiwalk_speedups",
-    "__version__",
-]
+#: Public name -> defining module.  Resolved on first attribute access
+#: (PEP 562), so ``import repro`` stays cheap and a process-pool worker
+#: that only unpickles a solver never imports SciPy or :mod:`repro.core`.
+_EXPORTS = {
+    "EmpiricalDistribution": "repro.core.distributions",
+    "FitResult": "repro.core.fitting",
+    "GammaRuntime": "repro.core.distributions",
+    "LogNormalRuntime": "repro.core.distributions",
+    "MinDistribution": "repro.core.minimum",
+    "ParetoRuntime": "repro.core.distributions",
+    "PredictionResult": "repro.core.prediction",
+    "RuntimeDistribution": "repro.core.distributions",
+    "RuntimeObservations": "repro.multiwalk.observations",
+    "ShiftedExponential": "repro.core.distributions",
+    "SpeedupModel": "repro.core.speedup",
+    "TruncatedGaussian": "repro.core.distributions",
+    "UniformRuntime": "repro.core.distributions",
+    "WeibullRuntime": "repro.core.distributions",
+    "collect_batch": "repro.engine",
+    "distribution_registry": "repro.core.distributions",
+    "fit_distribution": "repro.core.fitting",
+    "predict_speedup_curve": "repro.core.prediction",
+    "predict_speedup_from_distribution": "repro.core.prediction",
+    "run_race": "repro.engine",
+    "select_best_fit": "repro.core.fitting",
+    "simulate_multiwalk_speedups": "repro.multiwalk.simulate",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.restarts import luby_sequence
+from repro.luby import luby_sequence
 from repro.multiwalk.simulate import simulate_multiwalk_speedups
 from repro.stats.online import StreamingCensoredExponential, StreamingLognormal
 

@@ -54,9 +54,9 @@ from repro.campaign.controller import (
 )
 from repro.campaign.report import CampaignReport, StageReport
 from repro.campaign.stages import StageSpec, resolve_stage_order
-from repro.engine.backends import BatchExecutor
+from repro.engine.backends import BatchExecutor, default_worker_count
 from repro.engine.cache import ObservationCache
-from repro.engine.core import collect_batch, iter_runs
+from repro.engine.core import collect_batch, iter_runs, resolve_backend
 from repro.engine.progress import BatchProgress, ProgressCallback
 from repro.engine.seeding import spawn_seeds
 from repro.multiwalk.observations import RuntimeObservations
@@ -278,74 +278,90 @@ def run_campaign(
             dry_run=True,
         )
 
+    # One executor serves every stage and round, so a process pool starts
+    # once per campaign.  A named elastic backend is rebuilt only when the
+    # controller's allocation changes its worker count, so at most one pool
+    # is alive at a time; the executor is closed on every exit path.
+    executor = resolve_backend(backend, workers)
     elastic = backend in _ELASTIC_BACKENDS
+
+    def executor_for(plan: RoundPlan) -> BatchExecutor:
+        nonlocal executor
+        if elastic:
+            wanted = plan.workers if plan.workers is not None else workers
+            if default_worker_count(wanted) != executor.workers:
+                executor.close()
+                executor = resolve_backend(backend, wanted)
+        return executor
+
     stage_reports: list[StageReport] = []
-    for stage in order:
-        start = time.perf_counter()
+    try:
+        for stage in order:
+            start = time.perf_counter()
 
-        def fetch_round(
-            plan: RoundPlan, issued: int, stage=stage, start=start
-        ) -> Sequence[StageRunRecord]:
-            solver = stage.make_solver(plan.budget)
-            use_workers = plan.workers if elastic and plan.workers is not None else workers
-            if issued == 0:
-                batch = collect_batch(
-                    solver,
-                    plan.n_runs,
-                    base_seed=stage.base_seed,
-                    label=stage.label,
-                    backend=backend,
-                    workers=use_workers,
-                    progress=progress,
-                    cache=cache,
-                )
-                return _records_from_batch(batch, plan.budget)
-            seeds = spawn_seeds(stage.base_seed, issued + plan.n_runs)[issued:]
-            results: list[RunResult | None] = [None] * plan.n_runs
-            completed = 0
-            for local, result in iter_runs(
-                solver, seeds, backend=backend, workers=use_workers
-            ):
-                results[local] = result
-                completed += 1
-                if progress is not None:
-                    progress(
-                        BatchProgress(
-                            index=issued + local,
-                            completed=issued + completed,
-                            total=issued + plan.n_runs,
-                            result=result,
-                            elapsed_seconds=time.perf_counter() - start,
-                        )
+            def fetch_round(
+                plan: RoundPlan, issued: int, stage=stage, start=start
+            ) -> Sequence[StageRunRecord]:
+                solver = stage.make_solver(plan.budget)
+                executor = executor_for(plan)
+                if issued == 0:
+                    batch = collect_batch(
+                        solver,
+                        plan.n_runs,
+                        base_seed=stage.base_seed,
+                        label=stage.label,
+                        backend=executor,
+                        progress=progress,
+                        cache=cache,
                     )
-            assert completed == plan.n_runs  # every backend delivers every run
-            return [
-                StageRunRecord(
-                    index=issued + offset,
-                    seed=int(seeds[offset]),
-                    iterations=int(result.iterations),
-                    solved=bool(result.solved),
-                    budget=plan.budget,
-                    runtime_seconds=float(result.runtime_seconds),
+                    return _records_from_batch(batch, plan.budget)
+                seeds = spawn_seeds(stage.base_seed, issued + plan.n_runs)[issued:]
+                results: list[RunResult | None] = [None] * plan.n_runs
+                completed = 0
+                for local, result in iter_runs(solver, seeds, backend=executor):
+                    results[local] = result
+                    completed += 1
+                    if progress is not None:
+                        progress(
+                            BatchProgress(
+                                index=issued + local,
+                                completed=issued + completed,
+                                total=issued + plan.n_runs,
+                                result=result,
+                                elapsed_seconds=time.perf_counter() - start,
+                            )
+                        )
+                assert completed == plan.n_runs  # every backend delivers every run
+                return [
+                    StageRunRecord(
+                        index=issued + offset,
+                        seed=int(seeds[offset]),
+                        iterations=int(result.iterations),
+                        solved=bool(result.solved),
+                        budget=plan.budget,
+                        runtime_seconds=float(result.runtime_seconds),
+                    )
+                    for offset, result in enumerate(results)
+                ]
+
+            records = _drive_stage(stage, controller, log, fetch_round)
+            failure = _finish_stage(log, stage, records, controller.counted)
+            stage_reports.append(_stage_report(stage, records))
+            if failure is not None:
+                raise CampaignError(
+                    failure,
+                    report(
+                        stages=tuple(stage_reports),
+                        decisions=tuple(log.decisions),
+                        failed_stage=stage.key,
+                        failure_reason=failure,
+                    ),
                 )
-                for offset, result in enumerate(results)
-            ]
 
-        records = _drive_stage(stage, controller, log, fetch_round)
-        failure = _finish_stage(log, stage, records, controller.counted)
-        stage_reports.append(_stage_report(stage, records))
-        if failure is not None:
-            raise CampaignError(
-                failure,
-                report(
-                    stages=tuple(stage_reports),
-                    decisions=tuple(log.decisions),
-                    failed_stage=stage.key,
-                    failure_reason=failure,
-                ),
-            )
-
-    return report(stages=tuple(stage_reports), decisions=tuple(log.decisions))
+        return report(stages=tuple(stage_reports), decisions=tuple(log.decisions))
+    finally:
+        if executor is not backend:
+            executor.close()
 
 
 def replay_decisions(report: CampaignReport) -> list[dict]:

@@ -800,6 +800,8 @@ def _command_worker(args: argparse.Namespace) -> int:
         # worker that cannot join must exit loudly, not crash-loop.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        executor.close()  # a process backend's pool stays warm across units
     print(
         f"worker done: units={stats.units_completed} runs={stats.runs_completed} "
         f"cache-hits={stats.cache_hits}",

@@ -25,6 +25,7 @@ from scipy import integrate, optimize
 
 from repro.core.distributions.base import RuntimeDistribution
 from repro.core.speedup import SpeedupModel
+from repro.luby import luby_sequence
 
 __all__ = [
     "RestartAnalysis",
@@ -88,29 +89,6 @@ def optimal_cutoff(
     if no_restart < value:
         return high, no_restart
     return cutoff, value
-
-
-def luby_sequence(length: int, unit: float = 1.0) -> np.ndarray:
-    """First ``length`` terms of the Luby universal restart sequence times ``unit``.
-
-    The sequence 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ... is within a
-    logarithmic factor of the optimal restart strategy for *any* unknown
-    runtime distribution.
-    """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if unit <= 0.0:
-        raise ValueError(f"unit must be positive, got {unit}")
-    values: list[int] = []
-    while len(values) < length:
-        k = len(values) + 1
-        # t_k = 2^(i-1) if k = 2^i - 1, else t_{k - 2^(i-1) + 1} with 2^(i-1) <= k < 2^i - 1
-        i = k.bit_length()
-        if k == (1 << i) - 1:
-            values.append(1 << (i - 1))
-        else:
-            values.append(values[k - (1 << (i - 1))])
-    return unit * np.asarray(values[:length], dtype=float)
 
 
 @dataclasses.dataclass(frozen=True)

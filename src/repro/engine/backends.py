@@ -8,8 +8,9 @@ yielding them as they complete.  Three implementations are provided:
 * :class:`ThreadBackend` — a thread pool.  Useful when the workload releases
   the GIL (NumPy kernels) or is I/O bound; shares memory with the caller.
 * :class:`ProcessBackend` — a spawn-context :mod:`multiprocessing` pool with
-  chunked ``imap_unordered``.  The throughput backend for CPU-bound solver
-  campaigns on multi-core hosts.
+  chunked ``imap_unordered``, started on first use and kept warm for later
+  batches until :meth:`BatchExecutor.close`.  The throughput backend for
+  CPU-bound solver campaigns on multi-core hosts.
 
 All three yield results *as completed* (unordered); consumers that need
 stable ordering reassemble by the index carried in each payload (see
@@ -17,6 +18,11 @@ stable ordering reassemble by the index carried in each payload (see
 early cancels outstanding work — that is the first-finisher-wins
 cancellation primitive used by :func:`repro.engine.core.run_race`: threads
 have their pending futures cancelled, worker processes are terminated.
+
+Backends are context managers; :meth:`BatchExecutor.close` releases what
+they hold (the process pool).  Whoever resolves a backend from a name
+closes it; an instance passed in by the caller is never closed by the
+engine (see ``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -78,6 +84,18 @@ class BatchExecutor(abc.ABC):
     def describe(self) -> str:
         """Human-readable identity used in logs and benchmark labels."""
         return self.name
+
+    def close(self) -> None:
+        """Release held resources (worker processes); idempotent.
+
+        A no-op for backends that hold nothing between batches.
+        """
+
+    def __enter__(self) -> "BatchExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class SerialBackend(BatchExecutor):
@@ -141,13 +159,22 @@ class ThreadBackend(BatchExecutor):
 
 
 class ProcessBackend(BatchExecutor):
-    """Run tasks on a spawn-context process pool (chunked ``imap_unordered``).
+    """Run tasks on a warm spawn-context process pool (chunked ``imap_unordered``).
 
     The spawn start method is used on every platform: it is the only start
     method that is both fork-safe and portable, and it forces payloads
-    through pickle, guaranteeing workers see exactly the state a cold
-    process would.  Chunking amortises IPC for large batches; racing callers
-    pass ``chunksize=1`` so no walk is held hostage behind a queued chunk.
+    through pickle.  The pool of ``workers`` processes starts on the first
+    batch and serves every later one until :meth:`close`, so a campaign pays
+    worker start-up (interpreter plus NumPy import) once, not per round.  A
+    warm worker has run earlier tasks, but a task's inputs come only from
+    its pickled payload — the solver, the run index and the seed — so
+    results do not depend on which worker ran what before.
+
+    Closing a batch iterator early (first finisher wins) terminates the
+    pool, killing walks still executing rather than draining them; the next
+    batch starts a fresh one.  One instance serves one batch at a time.
+    Chunking amortises IPC for large batches; racing callers pass
+    ``chunksize=1`` so no walk is held hostage behind a queued chunk.
     """
 
     name = "process"
@@ -155,6 +182,8 @@ class ProcessBackend(BatchExecutor):
     def __init__(self, workers: int | None = None, *, start_method: str = "spawn") -> None:
         self.workers = default_worker_count(workers)
         self.start_method = start_method
+        self._pool = None
+        self._in_flight = False
 
     def _chunksize(self, n_tasks: int) -> int:
         # Aim for ~4 chunks per worker: large enough to amortise pickling,
@@ -171,21 +200,34 @@ class ProcessBackend(BatchExecutor):
         payloads = list(payloads)
         if not payloads:
             return
-        context = mp.get_context(self.start_method)
         effective_chunksize = self._chunksize(len(payloads)) if chunksize is None else chunksize
-        pool = context.Pool(processes=min(self.workers, len(payloads)))
+        if self._pool is None:
+            self._pool = mp.get_context(self.start_method).Pool(processes=self.workers)
+        pool = self._pool
         exhausted = False
+        self._in_flight = True
         try:
             yield from pool.imap_unordered(fn, payloads, chunksize=effective_chunksize)
             exhausted = True
         finally:
-            if exhausted:
-                pool.close()
-            else:
+            self._in_flight = False
+            if not exhausted:
                 # terminate() is the cancellation primitive: when the
                 # consumer closes the iterator early (first finisher wins),
                 # any walk still executing is killed rather than drained.
+                if self._pool is pool:
+                    self._pool = None
                 pool.terminate()
+                pool.join()
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # A batch abandoned mid-way is killed, not drained.
+            if self._in_flight:
+                pool.terminate()
+            else:
+                pool.close()
             pool.join()
 
     def describe(self) -> str:

@@ -24,6 +24,7 @@ Three operations cover every way this package launches runs:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from pathlib import Path
@@ -99,6 +100,21 @@ def resolve_backend(
     return factory(workers=workers)
 
 
+@contextlib.contextmanager
+def _resolved(
+    backend: str | BatchExecutor | None, workers: int | None
+) -> Iterator[BatchExecutor]:
+    """Resolve a backend spec for one call, closing it afterwards only if
+    it was built here: whoever resolves a backend from a name closes it,
+    and an instance passed in by the caller stays open for its next batch."""
+    executor = resolve_backend(backend, workers)
+    try:
+        yield executor
+    finally:
+        if executor is not backend:
+            executor.close()
+
+
 def iter_runs(
     algorithm: LasVegasAlgorithm,
     seeds: Sequence[int],
@@ -127,17 +143,17 @@ def iter_runs(
             raise ValueError(
                 f"got {len(indices)} indices for {len(seeds)} seeds; they must pair up"
             )
-    executor = resolve_backend(backend, workers)
     payloads = [
         RunTask(algorithm, index, seed) for index, seed in zip(indices, seeds)
     ]
-    iterator = executor.imap_unordered(execute_run, payloads, chunksize=chunksize)
-    try:
-        yield from iterator
-    finally:
-        close = getattr(iterator, "close", None)
-        if close is not None:
-            close()  # cancel outstanding runs when the consumer stops early
+    with _resolved(backend, workers) as executor:
+        iterator = executor.imap_unordered(execute_run, payloads, chunksize=chunksize)
+        try:
+            yield from iterator
+        finally:
+            close = getattr(iterator, "close", None)
+            if close is not None:
+                close()  # cancel outstanding runs when the consumer stops early
 
 
 def iter_batch(
@@ -208,9 +224,10 @@ def collect_batch(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     batch_label = label or algorithm.describe()
-    # Resolve the backend before consulting the cache so that invalid
-    # backend/workers arguments fail identically on warm and cold caches.
-    executor = resolve_backend(backend, workers)
+    # Validate the backend before consulting the cache so that invalid
+    # backend/workers arguments fail identically on warm and cold caches
+    # (iter_runs resolves it again for the runs, closing what it builds).
+    resolve_backend(backend, workers)
     cache_path: Path | None = None
     if cache is not None:
         if not isinstance(cache, ObservationCache):
@@ -247,7 +264,7 @@ def collect_batch(
     start = time.perf_counter()
     completed = 0
     for index, result in iter_batch(
-        algorithm, n_runs, base_seed=base_seed, backend=executor
+        algorithm, n_runs, base_seed=base_seed, backend=backend, workers=workers
     ):
         results[index] = result
         completed += 1
@@ -317,32 +334,32 @@ def run_race(
     """
     if n_walks < 1:
         raise ValueError(f"n_walks must be >= 1, got {n_walks}")
-    executor = resolve_backend(backend, workers)
     seeds = spawn_seeds(base_seed, n_walks)
     payloads = [RunTask(algorithm, index, seed) for index, seed in enumerate(seeds)]
     winner: tuple[int, RunResult] | None = None
     best_unsolved: tuple[int, RunResult] | None = None
     n_completed = 0
-    start = time.perf_counter()
-    # chunksize=1 so no walk waits behind a queued chunk of the same worker.
-    iterator = executor.imap_unordered(execute_run, payloads, chunksize=1)
-    try:
-        for index, result in iterator:
-            n_completed += 1
-            if result.solved:
-                winner = (index, result)
-                break
-            if best_unsolved is None or (result.iterations, index) < (
-                best_unsolved[1].iterations,
-                best_unsolved[0],
-            ):
-                best_unsolved = (index, result)
-        # The race is decided here; measure before cancellation so cleanup
-        # cost (pool teardown, walks that cannot be interrupted) is not
-        # charged to the race itself.
-        elapsed = time.perf_counter() - start
-    finally:
-        iterator.close()  # cancels outstanding walks (kill-all-others)
+    with _resolved(backend, workers) as executor:
+        start = time.perf_counter()
+        # chunksize=1 so no walk waits behind a queued chunk of the same worker.
+        iterator = executor.imap_unordered(execute_run, payloads, chunksize=1)
+        try:
+            for index, result in iterator:
+                n_completed += 1
+                if result.solved:
+                    winner = (index, result)
+                    break
+                if best_unsolved is None or (result.iterations, index) < (
+                    best_unsolved[1].iterations,
+                    best_unsolved[0],
+                ):
+                    best_unsolved = (index, result)
+            # The race is decided here; measure before cancellation so cleanup
+            # cost (pool teardown, walks that cannot be interrupted) is not
+            # charged to the race itself.
+            elapsed = time.perf_counter() - start
+        finally:
+            iterator.close()  # cancels outstanding walks (kill-all-others)
     if winner is None:
         winner = best_unsolved
     assert winner is not None  # n_walks >= 1 guarantees at least one result

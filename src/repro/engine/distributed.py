@@ -912,9 +912,8 @@ def run_worker(
     executor:
         Local backend units run through (default: :class:`SerialBackend`).
         Must be a per-host backend, not another :class:`DistributedBackend`.
-        Note that :class:`ProcessBackend` builds its spawn pool per unit, so
-        it only pays off when the coordinator's ``unit_size`` is large
-        enough to amortise pool startup (seconds, mostly numpy imports).
+        A :class:`ProcessBackend` starts its spawn pool on the first unit
+        and keeps it warm for later ones; the caller closes it.
     cache_dir:
         Shared observation-cache directory; unit results are read/written
         under ``<cache_dir>/units/`` so re-issued or repeated units are free.

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.restarts import luby_sequence
+from repro.luby import luby_sequence
 from repro.sat.cnf import CNFFormula
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (solvers -> sat)

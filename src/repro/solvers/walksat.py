@@ -87,7 +87,7 @@ class WalkSATConfig:
         Cutoff schedule when restarts are enabled: ``"fixed"`` (default)
         restarts every ``restart_after`` flips; ``"luby"`` scales the
         cutoffs by the Luby universal sequence (1, 1, 2, 1, 1, 2, 4, ...)
-        of :func:`repro.core.restarts.luby_sequence`, i.e. segment ``i``
+        of :func:`repro.luby.luby_sequence`, i.e. segment ``i``
         runs for ``restart_after * luby(i)`` flips — the optimal universal
         restart strategy of Luby, Sinclair & Zuckerman 1993.  Ignored when
         ``restart_after`` is ``None``.  Scalar and lockstep paths honour

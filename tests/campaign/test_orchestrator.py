@@ -6,6 +6,8 @@ budgets stay consistent and the decision log is a pure function of the
 base seed — the property the cross-backend determinism tests pin.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from repro.campaign import (
     verify_report,
 )
 from repro.engine.core import collect_batch
+from repro.sat.generators import clause_count_for_ratio, random_ksat
 from repro.solvers.base import LasVegasAlgorithm, RunResult
+from repro.solvers.walksat import WalkSAT, WalkSATConfig
 
 
 class GeometricSolver(LasVegasAlgorithm):
@@ -219,6 +223,67 @@ class TestAdaptiveOrchestration:
         report = run_campaign([stage], controller=controller)
         assert report.controller == "adaptive"
         assert report.controller_params["probe_runs"] == 3
+
+
+def _sat_stage(budget=300):
+    """Three adaptive rounds on a small uniform 3-SAT instance (probe, a
+    full-budget round, then a cut-off round on two allocated workers).
+    WalkSAT pickles into spawned workers, unlike the synthetic solvers."""
+    rng = np.random.default_rng((20130813, 0x5AA))
+    formula = random_ksat(30, clause_count_for_ratio(30, 4.2), 3, rng=rng)
+    return StageSpec(
+        key="SAT",
+        label="uniform 3-SAT 30@4.2",
+        kind="test",
+        make_solver=lambda budget: WalkSAT(formula, WalkSATConfig(max_flips=budget, noise=0.1)),
+        quota=8,
+        base_seed=2,
+        budget=budget,
+        emit_keys=("SAT",),
+        supports_cutoff=True,
+    )
+
+
+def _deterministic_stream(report):
+    return [r.as_dict() | {"runtime_seconds": 0.0} for r in report.stage("SAT").stream]
+
+
+class TestProcessPoolLifecycle:
+    """One warm pool per campaign, closed on every exit path."""
+
+    def _controller(self, **kwargs):
+        return AdaptiveController(candidate_workers=(1, 2), **kwargs)
+
+    def test_adaptive_campaign_builds_one_pool(self, spawned_pools):
+        pooled = run_campaign(
+            [_sat_stage()], controller=self._controller(), backend="process", workers=2
+        )
+        assert multiprocessing.active_children() == []
+        rounds = [d for d in pooled.decision_dicts() if d["kind"] == "round"]
+        assert len(rounds) == 3
+        assert spawned_pools == [2]  # every round ran on the same pool
+        serial = run_campaign([_sat_stage()], controller=self._controller())
+        assert pooled.decision_dicts() == serial.decision_dicts()
+        assert _deterministic_stream(pooled) == _deterministic_stream(serial)
+
+    def test_allocation_change_respawns_once(self, spawned_pools):
+        # No worker count keeps an efficiency of 2, so the allocation
+        # falls back to the smallest candidate once the predictor runs.
+        controller = self._controller(efficiency_floor=2.0)
+        report = run_campaign([_sat_stage()], controller=controller, backend="process", workers=2)
+        allocations = [d["detail"]["workers"] for d in report.decision_dicts()
+                       if d["kind"] == "allocation"]
+        assert allocations == [1]
+        assert spawned_pools == [2, 1]
+        assert multiprocessing.active_children() == []
+
+    def test_campaign_error_leaves_no_workers(self, spawned_pools):
+        # A one-flip budget never satisfies the formula: BUG-021 fires.
+        with pytest.raises(CampaignError, match="zero solved"):
+            run_campaign([_sat_stage(budget=1)], controller=self._controller(),
+                         backend="process", workers=2)
+        assert spawned_pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestReplayAndReport:

@@ -7,6 +7,8 @@ test through the ``tiny_observations`` fixture.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,32 @@ def solver_runs(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(engine_core, "execute_run", spy)
     return runs
+
+
+@pytest.fixture
+def spawned_pools(monkeypatch) -> Iterator[list[int]]:
+    """Sizes of the spawn-context process pools built during the test.
+
+    Wraps the spawn context's ``Pool`` (the one :class:`ProcessBackend`
+    builds from), so every pool start is recorded, in order.  The pools
+    stay referenced until the test ends: a pool nobody closed keeps its
+    workers alive (``multiprocessing.active_children()``) instead of
+    being reaped by garbage collection.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("spawn")
+    sizes: list[int] = []
+    pools = []
+    build = context.Pool
+
+    def counting(processes=None, *args, **kwargs):
+        sizes.append(processes)
+        pools.append(build(processes, *args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(context, "Pool", counting)
+    yield sizes
+    for pool in pools:
+        pool.terminate()
+        pool.join()

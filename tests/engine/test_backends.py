@@ -6,6 +6,8 @@ on real solvers (N-Queens and Costas array, per the paper's benchmark
 family) and on synthetic algorithms for the scheduling corner cases.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,9 @@ def serial_reference():
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("kind", ["nqueens", "costas"])
-    def test_identical_observations_across_backends(self, backend, kind, serial_reference):
+    def test_identical_observations_across_backends(
+        self, backend, kind, serial_reference, spawned_pools
+    ):
         reference = serial_reference[kind]
         workers = None if backend == "serial" else 2
         batch = collect_batch(_problem(kind), 12, base_seed=17, backend=backend, workers=workers)
@@ -56,6 +60,9 @@ class TestBackendEquivalence:
         np.testing.assert_array_equal(batch.solved, reference.solved)
         np.testing.assert_array_equal(batch.seeds, reference.seeds)
         assert batch.label == reference.label
+        # A backend resolved from a name is closed by the call that built it.
+        assert len(spawned_pools) == (backend == "process")
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_worker_count_does_not_change_results(self, workers):
@@ -190,12 +197,14 @@ class TestRunRace:
         assert outcome.solved
         assert outcome.wall_clock_seconds < 1.0  # did not wait for the sleepers
 
-    def test_race_on_real_solver_process_backend(self):
+    def test_race_on_real_solver_process_backend(self, spawned_pools):
         solver = AdaptiveSearch(CostasArrayProblem(6), AdaptiveSearchConfig(max_iterations=50_000))
         outcome = run_race(solver, 2, base_seed=0, backend="process", workers=2)
         assert outcome.solved
         assert solver.problem.is_solution(outcome.winner_result.solution)
         assert outcome.wall_clock_seconds > 0.0
+        assert spawned_pools == [2]
+        assert multiprocessing.active_children() == []
 
     def test_rejects_zero_walks(self):
         with pytest.raises(ValueError):
@@ -204,3 +213,37 @@ class TestRunRace:
     def test_winner_runtime_within_race_wall_clock(self):
         outcome = run_race(SyntheticAlgorithm(), 4, base_seed=2)
         assert 0.0 <= outcome.winner_result.runtime_seconds <= outcome.wall_clock_seconds
+
+
+class TestProcessBackendPool:
+    """The warm pool's lifecycle on a caller-owned instance."""
+
+    def test_race_then_batch_on_one_process_backend(self, serial_reference, spawned_pools):
+        """A caller-owned pool: the race's cancellation terminates it, the
+        next batch starts a fresh one and later batches reuse that."""
+        with ProcessBackend(workers=2) as backend:
+            outcome = run_race(_problem("nqueens"), 6, base_seed=0, backend=backend)
+            assert outcome.solved
+            assert outcome.n_completed == 1  # the other five walks were cancelled
+            reference = serial_reference["nqueens"]
+            for _ in range(2):
+                batch = collect_batch(_problem("nqueens"), 12, base_seed=17, backend=backend)
+                np.testing.assert_array_equal(batch.iterations, reference.iterations)
+                np.testing.assert_array_equal(batch.solved, reference.solved)
+            assert spawned_pools == [2, 2]  # race pool, then one warm pool
+            assert len(multiprocessing.active_children()) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_close_kills_an_abandoned_batch(self):
+        """Closing a pool with a half-consumed batch kills the batch's
+        walks instead of draining them."""
+        import time as _time
+
+        backend = ProcessBackend(workers=2)
+        results = backend.imap_unordered(_time.sleep, [0.0, 30.0, 30.0], chunksize=1)
+        next(results)
+        start = _time.perf_counter()
+        backend.close()
+        assert _time.perf_counter() - start < 10.0
+        assert multiprocessing.active_children() == []
+        results.close()
