@@ -145,6 +145,16 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _disable_nagle(conn: socket.socket) -> None:
+    """Send every message at once instead of coalescing small writes.
+
+    Without ``TCP_NODELAY`` a worker's ``result`` line followed at once by
+    its next ``request`` waits out the peer's delayed ACK, about 40 ms per
+    unit on Linux.
+    """
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _filename_safe(name: str) -> str:
     """Collapse a worker name to filesystem-safe characters.
 
@@ -448,6 +458,7 @@ class _CoordinatorServer:
             except OSError:
                 break
             counter += 1
+            _disable_nagle(conn)
             with self._connections_lock:
                 if self._closed.is_set():
                     conn.close()
@@ -986,6 +997,7 @@ def _socket_worker_loop(
 ) -> None:
     conn = _connect_with_retry(coordinator, connect_timeout)
     conn.settimeout(None)
+    _disable_nagle(conn)
     stream = conn.makefile("rwb")
     # The heartbeat thread and the main loop share one socket; every write
     # must hold this lock so messages never interleave mid-line.

@@ -162,6 +162,27 @@ class TestSocketEquivalence:
         _join_workers(workers)
 
 
+    def test_both_ends_of_a_connection_disable_nagle(self, socket_backend, monkeypatch):
+        """A result followed by the next request must not wait for a delayed ACK."""
+        connected = []
+        real_create_connection = socket.create_connection
+
+        def recording_create_connection(*args, **kwargs):
+            connected.append(real_create_connection(*args, **kwargs))
+            return connected[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording_create_connection)
+        workers = _spawn_workers(1, coordinator=socket_backend.start())
+        collect_batch(SyntheticAlgorithm(), 8, base_seed=1, backend=socket_backend)
+        with socket_backend._server._connections_lock:
+            accepted = list(socket_backend._server._connections)
+        nodelay = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert [conn.getsockopt(*nodelay) for conn in connected] == [1]
+        assert [conn.getsockopt(*nodelay) for conn in accepted] == [1]
+        socket_backend.shutdown()
+        _join_workers(workers)
+
+
 class TestJobDirEquivalence:
     def test_bit_identical_to_serial(self, tmp_path):
         serial = collect_batch(_nqueens(), 12, base_seed=17)
