@@ -69,6 +69,12 @@ def _collect_distributed(n_workers: int, base_seed: int):
     workers = _spawn_workers(n_workers, address)
     try:
         start = time.perf_counter()
+        # Run the batch on the whole fleet: a worker still importing when a
+        # fast batch ends would miss it and then retry its connection to the
+        # closed coordinator for its full connect timeout.
+        while len(backend._server._pipes) < n_workers:
+            assert time.perf_counter() - start < 60.0, "workers did not connect"
+            time.sleep(0.01)
         batch = collect_batch(_solver(), N_RUNS, base_seed=base_seed, backend=backend)
         elapsed = time.perf_counter() - start
     finally:

@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         metavar="SECONDS",
         help="cadence of lease-refreshing heartbeats while a unit executes "
-        "(socket mode; 0 disables, default: 5)",
+        "(0 disables, default: 5)",
     )
 
     serve_parser = subparsers.add_parser(

@@ -10,57 +10,53 @@ the single-host backends do: seeds are pre-derived by the coordinator
 are blocks of *contiguous* payloads, and results are reassembled by payload
 position, so scheduling order is invisible to consumers.
 
-Two transports share one protocol (:data:`repro.engine.tasks.PROTOCOL_VERSION`):
+One protocol (:data:`repro.engine.tasks.PROTOCOL_VERSION`) travels over two
+pipes.  Messages are line-delimited JSON (one object per line, UTF-8), and
+pickled payloads travel base64-encoded inside them::
 
-* **Socket** — the coordinator listens on ``host:port``; workers connect and
-  pull units over line-delimited JSON messages (one JSON object per line,
-  UTF-8).  Pickled payloads travel base64-encoded inside the JSON.  The
-  message flow::
+    worker -> {"type": "hello", "protocol": 3, "worker": "<name>", "token": "..."}
+    coord  -> {"type": "welcome", "protocol": 3}        (or "error" + close)
+    worker -> {"type": "request"}
+    coord  -> {"type": "unit", "unit_id": ..., "payload": <b64 pickle>}
+              | {"type": "idle"}                        (retry later)
+    worker -> {"type": "heartbeat"}                     (while executing; no reply)
+    worker -> {"type": "result", "unit_id": ..., "payload": <b64 pickle>}
+              | {"type": "failed", "unit_id": ..., "reason": "..."}
 
-      worker -> {"type": "hello", "protocol": 2, "worker": "<name>", "token": "..."}
-      coord  -> {"type": "welcome", "protocol": 2}        (or "error" + close)
-      worker -> {"type": "request"}
-      coord  -> {"type": "unit", "unit_id": ..., "payload": <b64 pickle>}
-                | {"type": "idle"}                        (retry later)
-      worker -> {"type": "heartbeat"}                     (while executing; no reply)
-      worker -> {"type": "result", "unit_id": ..., "payload": <b64 pickle>}
-                | {"type": "failed", "unit_id": ..., "reason": "..."}
+* **Socket** — the coordinator listens on ``host:port``; each worker
+  connection is one pipe.  A coordinator constructed with ``auth_token``
+  refuses the handshake of any worker whose hello does not carry the same
+  token (constant-time compare).
+* **Job directory** — for queue/HPC settings where sockets are awkward,
+  the same lines travel through append-only files on a shared filesystem::
 
-  A coordinator constructed with ``auth_token`` refuses the handshake of any
-  worker whose hello does not carry the same token (constant-time compare),
-  so a fleet exposed on a shared network only accepts its own workers.
-  While a unit executes, the worker's heartbeat thread refreshes the
-  coordinator-side lease of every unit it holds: slow-but-alive workers are
-  never speculatively re-issued, while a wedged (or killed) worker's units
-  go stale within ``lease_seconds`` and are re-issued to the rest of the
-  fleet — result dedup on ``unit_id`` keeps re-issues idempotent either way.
+      DIR/meta.json                          {"protocol": 3, "session": "<token>"}
+      DIR/sessions/<session>/<worker>/up     written by the worker
+      DIR/sessions/<session>/<worker>/down   written by the coordinator
+      DIR/sessions/<session>/<worker>/CLOSED written by whichever end closes
+      DIR/sessions/<session>/CLOSED          written by shutdown()
 
-  A worker that dies mid-unit drops its connection; the coordinator requeues
-  every unit checked out on that connection, and speculatively re-issues
-  units outstanding past ``lease_seconds`` to idle workers (straggler
-  re-execution).  Results are deduplicated on ``unit_id``, so a unit that
-  was re-issued and completed twice is counted once.  A payload that raises
-  is reported as ``failed`` (the worker survives), retried up to
-  ``max_unit_failures`` times, then fails the batch loudly.  Workers exit
-  when the coordinator closes the connection (end of campaign) and
-  idle-poll between batches of the same campaign.
+  ``<worker>`` is ``<name>-<pid>-<uuid8>``.  Each file has one writer,
+  which appends one whole line per open; the reader reopens it on every
+  poll (NFS close-to-open consistency), keeps a partial last line for the
+  next poll, and backs off from fast polls to ``poll_interval``.  Either
+  ``CLOSED``, or a ``meta.json`` naming another session, reads as
+  end-of-file, like a closed socket.  The files grow by one line per
+  message, idle polls included (``request`` + ``idle``); every campaign
+  opens a new session.
 
-* **Job directory** — for queue/HPC settings where sockets are awkward, the
-  coordinator drops pickled unit files into a shared directory and polls for
-  result files; workers claim units by exclusive creation of a claim file,
-  write results atomically (``os.replace``), and exit when the coordinator
-  writes a ``STOP`` marker (a stale marker from a previous campaign in a
-  reused directory is ignored until the worker's connect grace expires).
-  Workers heartbeat their claim's mtime on a timer while executing; claims
-  gone stale for ``lease_seconds`` belong to dead workers and are deleted
-  by the coordinator, re-issuing the unit.  Crashing payloads leave
-  ``errors/`` files that bound retries exactly like the socket path.
-  First result file wins, which is an idempotent dedup because unit results
-  are deterministic.
-
-Both transports ship pickles, so — exactly like :mod:`multiprocessing` —
-they assume a trusted cluster: never expose a coordinator to an untrusted
-network.
+:class:`UnitLedger` is the only lease, retry and dedup path, whichever pipe
+a worker uses.  Executing workers heartbeat, refreshing the lease of every
+unit they hold, so slow-but-alive workers are never speculatively
+re-issued, while a wedged or killed worker's units go stale within
+``lease_seconds`` and are re-issued to the rest of the fleet (a closed
+pipe requeues them at once).  A result counts only from the
+connection holding its unit, with one value per payload, and once per
+``unit_id``.  A payload that raises is reported as ``failed`` (the worker
+survives), retried up to ``max_unit_failures`` times, then fails the batch
+loudly.  Workers exit at end-of-file (end of campaign) and idle-poll
+between batches.  Both pipes ship pickles, so — exactly like
+:mod:`multiprocessing` — they assume a trusted cluster.
 
 Workers run units through the existing per-host backends (``serial``,
 ``thread`` or ``process``) and, when given a shared ``cache_dir``, read and
@@ -72,6 +68,7 @@ from __future__ import annotations
 
 import base64
 import collections
+import contextlib
 import dataclasses
 import hmac
 import json
@@ -98,6 +95,12 @@ __all__ = [
     "run_worker",
 ]
 
+#: First wait between polls of a job-directory pipe.  Each empty poll waits
+#: 10% longer, up to the reader's ``poll_interval``: a reply due within
+#: milliseconds is read within milliseconds, a line is read at most ~10% of
+#: its wait late, and an idle pipe costs one poll per ``poll_interval``.
+_FIRST_POLL_SECONDS = 0.001
+
 
 class ProtocolError(RuntimeError):
     """Coordinator and worker disagree about the wire protocol."""
@@ -114,13 +117,13 @@ def _decode(text: str) -> Any:
     return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
-def _send(stream, message: dict) -> None:
-    stream.write((json.dumps(message) + "\n").encode("utf-8"))
-    stream.flush()
+def _send(pipe, message: dict) -> None:
+    pipe.write((json.dumps(message) + "\n").encode("utf-8"))
+    pipe.flush()
 
 
-def _recv(stream) -> dict | None:
-    line = stream.readline()
+def _recv(pipe) -> dict | None:
+    line = pipe.readline()
     if not line:
         return None
     return json.loads(line.decode("utf-8"))
@@ -136,33 +139,128 @@ def _parse_address(address: str) -> tuple[str, int]:
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write via a uniquely-named sibling + ``os.replace``.
 
-    Readers polling ``path`` (job-dir workers/coordinators, cache probes)
-    never observe a partial file, and the uuid component keeps temp names
-    collision-free across hosts sharing a filesystem (PIDs alone collide).
+    Readers polling ``path`` (``meta.json``, cache probes) never observe a
+    partial file, and the uuid component keeps temp names collision-free
+    across hosts sharing a filesystem (PIDs alone collide).
     """
     tmp = path.with_suffix(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
     tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
-def _disable_nagle(conn: socket.socket) -> None:
-    """Send every message at once instead of coalescing small writes.
-
-    Without ``TCP_NODELAY`` a worker's ``result`` line followed at once by
-    its next ``request`` waits out the peer's delayed ACK, about 40 ms per
-    unit on Linux.
-    """
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
 def _filename_safe(name: str) -> str:
     """Collapse a worker name to filesystem-safe characters.
 
     Worker names are user-supplied (``--name team/alpha``) or default to
-    ``host:pid``; both can contain separators that must not leak into file
-    paths used for failure accounting.
+    ``host:pid``; both can contain separators that must not leak into the
+    worker's pipe directory name.
     """
     return re.sub(r"[^A-Za-z0-9._-]", "_", name) or "worker"
+
+
+# ----------------------------------------------------------------------
+# The two pipes: a TCP connection, or a pair of job-directory files
+# ----------------------------------------------------------------------
+class _SocketPipe:
+    """One TCP connection, either end."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.settimeout(None)
+        # Without TCP_NODELAY a worker's ``result`` line followed at once by
+        # its next ``request`` waits out the peer's delayed ACK, about 40 ms
+        # per unit on Linux.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self._stream = sock.makefile("rwb")
+        self.readline = self._stream.readline
+        self.write = self._stream.write
+        self.flush = self._stream.flush
+
+    def close(self) -> None:
+        """End the connection; a ``readline`` blocked on either end returns ``b""``."""
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
+            self._stream.close()
+        self.sock.close()
+
+
+def _read_meta(job_dir: Path) -> dict:
+    """The job directory's ``meta.json`` (``{}`` until a coordinator writes one)."""
+    try:
+        meta = json.loads((job_dir / "meta.json").read_text())
+    except FileNotFoundError:
+        return {}
+    if meta.get("protocol") != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"job directory {job_dir} uses protocol {meta.get('protocol')!r}, "
+            f"this process speaks {PROTOCOL_VERSION}"
+        )
+    return meta
+
+
+def _session_live(session_dir: Path) -> bool:
+    """Whether ``DIR/sessions/<session>`` is its job directory's open session."""
+    if (session_dir / "CLOSED").exists():
+        return False
+    return _read_meta(session_dir.parents[1]).get("session") == session_dir.name
+
+
+class _FilePipe:
+    """One end of the pipe in ``DIR/sessions/<session>/<worker>/``.
+
+    It reads the ``inbox`` file (``up`` on the coordinator's end, ``down``
+    on the worker's) and appends to the other one.
+    """
+
+    def __init__(self, pipe_dir: Path, inbox: str, poll_interval: float) -> None:
+        self._session_dir = pipe_dir.parent
+        self._closed_path = pipe_dir / "CLOSED"
+        self._read_path = pipe_dir / inbox
+        self._write_path = pipe_dir / ("down" if inbox == "up" else "up")
+        self._poll_interval = poll_interval
+        self._offset = 0
+        self._unread = b""
+
+    def readline(self) -> bytes:
+        """The next whole line; ``b""`` once the pipe or its session is closed
+        and no whole line is pending."""
+        delay = _FIRST_POLL_SECONDS
+        while True:
+            ended = self._closed_path.exists() or not _session_live(self._session_dir)
+            line = self._next_line()
+            if line or ended:
+                return line
+            time.sleep(delay)
+            delay = min(1.1 * delay, self._poll_interval)
+
+    def _next_line(self) -> bytes:
+        if b"\n" not in self._unread:
+            try:
+                with open(self._read_path, "rb") as stream:
+                    stream.seek(self._offset)
+                    chunk = stream.read()
+            except FileNotFoundError:
+                chunk = b""  # the peer has not written yet
+            self._offset += len(chunk)
+            self._unread += chunk
+        line, newline, rest = self._unread.partition(b"\n")
+        if not newline:
+            return b""  # keep a partial line until its writer finishes it
+        self._unread = rest
+        return line + newline
+
+    def write(self, data: bytes) -> None:
+        with open(self._write_path, "ab") as stream:
+            stream.write(data)
+
+    def flush(self) -> None:
+        pass  # every write() is a whole line, closed at once
+
+    def close(self) -> None:
+        """End the pipe for both ends, as closing a socket does."""
+        with contextlib.suppress(OSError):  # the job directory may be gone
+            self._closed_path.touch()
 
 
 # ----------------------------------------------------------------------
@@ -401,37 +499,83 @@ def _execute_unit_cached(
 
 
 # ----------------------------------------------------------------------
-# Socket transport: coordinator server
+# Coordinator: one server, two ways for workers to arrive
 # ----------------------------------------------------------------------
+class _SocketListener:
+    """Workers arrive as TCP connections to ``host:port``."""
+
+    def __init__(self, host: str, port: int) -> None:
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind((host, port))
+        self._sock.listen()
+        self._sock.settimeout(0.2)  # lets the accept loop notice close()
+        host, port = self._sock.getsockname()[:2]
+        self.address = f"{host}:{port}"
+
+    def accept(self) -> _SocketPipe | None:
+        try:
+            conn, _addr = self._sock.accept()
+        except socket.timeout:
+            return None
+        return _SocketPipe(conn)
+
+    def close(self) -> None:
+        self._sock.close()
+
+
+class _JobDirListener:
+    """Workers arrive as new ``up`` files in this coordinator's session."""
+
+    def __init__(self, job_dir: Path, session: str, poll_interval: float) -> None:
+        job_dir.mkdir(parents=True, exist_ok=True)
+        _read_meta(job_dir)  # refuses a directory of another protocol
+        self._session_dir = job_dir / "sessions" / session
+        self._session_dir.mkdir(parents=True)
+        self._poll_interval = poll_interval
+        self._seen: set[Path] = set()
+        self.address = str(job_dir)
+        # Naming the new session ends any earlier one: its workers read EOF
+        # and workers waiting in a reused directory join this session.
+        meta = {"protocol": PROTOCOL_VERSION, "session": session}
+        _atomic_write_bytes(job_dir / "meta.json", json.dumps(meta).encode("utf-8"))
+
+    def accept(self) -> _FilePipe | None:
+        for up in sorted(self._session_dir.glob("*/up")):
+            if up not in self._seen:
+                self._seen.add(up)
+                return _FilePipe(up.parent, "up", self._poll_interval)
+        time.sleep(self._poll_interval)
+        return None
+
+    def close(self) -> None:
+        with contextlib.suppress(OSError):  # the job directory may be gone
+            (self._session_dir / "CLOSED").touch()
+
+
 class _CoordinatorServer:
-    """Listening socket serving units to pull-based workers.
+    """Serves units to pull-based workers arriving through one listener.
 
     The server outlives individual batches: one campaign runs several
     batches through the same backend instance, and workers stay connected
     (idle-polling) in between.  ``set_ledger`` installs the active batch.
     """
 
-    def __init__(self, host: str, port: int, auth_token: str | None = None) -> None:
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
-        self._sock.settimeout(0.2)  # lets the accept loop notice close()
+    def __init__(
+        self, listener: _SocketListener | _JobDirListener, auth_token: str | None = None
+    ) -> None:
+        self._listener = listener
         self._auth_token = auth_token
-        self.host, self.port = self._sock.getsockname()[:2]
+        self.address = listener.address
         self._ledger: UnitLedger | None = None
         self._ledger_lock = threading.Lock()
         self._closed = threading.Event()
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
+        self._pipes: set[_SocketPipe | _FilePipe] = set()
+        self._pipes_lock = threading.Lock()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-coordinator-accept", daemon=True
         )
         self._accept_thread.start()
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
 
     def set_ledger(self, ledger: UnitLedger | None) -> None:
         with self._ledger_lock:
@@ -452,62 +596,34 @@ class _CoordinatorServer:
         counter = 0
         while not self._closed.is_set():
             try:
-                conn, _addr = self._sock.accept()
-            except socket.timeout:
-                continue
+                pipe = self._listener.accept()
             except OSError:
                 break
+            if pipe is None:
+                continue
             counter += 1
-            _disable_nagle(conn)
-            with self._connections_lock:
+            with self._pipes_lock:
                 if self._closed.is_set():
-                    conn.close()
+                    pipe.close()
                     continue
-                self._connections.add(conn)
+                self._pipes.add(pipe)
             threading.Thread(
                 target=self._handle_client,
-                args=(conn, f"conn-{counter}"),
+                args=(pipe, f"conn-{counter}"),
                 name=f"repro-coordinator-{counter}",
                 daemon=True,
             ).start()
 
-    def _handle_client(self, conn: socket.socket, owner: str) -> None:
-        checked_out: dict[str, UnitLedger] = {}
-        stream = conn.makefile("rwb")
+    def _handle_client(self, pipe: _SocketPipe | _FilePipe, owner: str) -> None:
+        checked_out: dict[str, tuple[UnitLedger, WorkUnit]] = {}
         try:
-            hello = _recv(stream)
-            if hello is None or hello.get("type") != "hello":
-                _send(stream, {"type": "error", "reason": "expected a hello message"})
+            refusal = _refusal(_recv(pipe), self._auth_token)
+            if refusal is not None:
+                _send(pipe, {"type": "error", "protocol": PROTOCOL_VERSION, "reason": refusal})
                 return
-            if hello.get("protocol") != PROTOCOL_VERSION:
-                _send(
-                    stream,
-                    {
-                        "type": "error",
-                        "protocol": PROTOCOL_VERSION,
-                        "reason": (
-                            f"protocol version mismatch: coordinator speaks "
-                            f"{PROTOCOL_VERSION}, worker announced {hello.get('protocol')!r}"
-                        ),
-                    },
-                )
-                return
-            if self._auth_token is not None and not hmac.compare_digest(
-                str(hello.get("token") or ""), self._auth_token
-            ):
-                # Constant-time compare; the reason deliberately does not
-                # reveal whether the token was missing or merely wrong.
-                _send(
-                    stream,
-                    {
-                        "type": "error",
-                        "reason": "authentication failed: bad or missing worker token",
-                    },
-                )
-                return
-            _send(stream, {"type": "welcome", "protocol": PROTOCOL_VERSION})
+            _send(pipe, {"type": "welcome", "protocol": PROTOCOL_VERSION})
             while not self._closed.is_set():
-                message = _recv(stream)
+                message = _recv(pipe)
                 if message is None:
                     break
                 if message["type"] == "heartbeat":
@@ -521,62 +637,84 @@ class _CoordinatorServer:
                     ledger = self._current_ledger()
                     unit = ledger.checkout(owner) if ledger is not None else None
                     if unit is None:
-                        _send(stream, {"type": "idle"})
+                        _send(pipe, {"type": "idle"})
                     else:
-                        checked_out[unit.unit_id] = ledger
-                        _send(
-                            stream,
-                            {
-                                "type": "unit",
-                                "unit_id": unit.unit_id,
-                                "payload": _encode(unit),
-                            },
-                        )
-                elif message["type"] == "result":
-                    result = _decode(message["payload"])
-                    ledger = checked_out.pop(result.unit_id, None) or self._current_ledger()
-                    if ledger is not None:
+                        checked_out[unit.unit_id] = (ledger, unit)
+                        payload = _encode(unit)
+                        _send(pipe, {"type": "unit", "unit_id": unit.unit_id, "payload": payload})
+                elif message["type"] in ("result", "failed"):
+                    # Only the connection holding a unit may settle it; a
+                    # message about any other unit is dropped.
+                    held = checked_out.pop(message["unit_id"], None)
+                    if held is None:
+                        continue
+                    ledger, unit = held
+                    result = None
+                    if message["type"] == "result":
+                        result = _matching_result(message["payload"], unit)
+                    if result is not None:
                         ledger.complete(result)  # dedups on unit_id
-                elif message["type"] == "failed":
-                    unit_id = message["unit_id"]
-                    ledger = checked_out.pop(unit_id, None) or self._current_ledger()
-                    if ledger is not None:
+                    else:
                         # Retry on another worker; after max_failures the
                         # ledger surfaces the failure to the batch consumer.
-                        ledger.fail(unit_id, message.get("reason", "unknown"), owner)
+                        reason = message.get("reason", "result does not match its unit")
+                        ledger.fail(unit.unit_id, reason, owner)
                 else:
-                    _send(
-                        stream,
-                        {"type": "error", "reason": f"unknown message type {message['type']!r}"},
-                    )
+                    reason = f"unknown message type {message['type']!r}"
+                    _send(pipe, {"type": "error", "reason": reason})
                     break
         except (OSError, ValueError, EOFError, json.JSONDecodeError, KeyError):
             pass  # broken client: drop the connection, requeue its units below
         finally:
             # A dead worker's outstanding units go back to the queue so the
             # rest of the fleet absorbs them (work stealing on failure).
-            for unit_id, ledger in checked_out.items():
+            for unit_id, (ledger, _unit) in checked_out.items():
                 ledger.requeue(unit_id, owner)
-            try:
-                stream.close()
-            except OSError:
-                pass
-            conn.close()
-            with self._connections_lock:
-                self._connections.discard(conn)
+            pipe.close()
+            with self._pipes_lock:
+                self._pipes.discard(pipe)
 
     def close(self) -> None:
         self._closed.set()
-        self._sock.close()
-        with self._connections_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
+        self._listener.close()
+        with self._pipes_lock:
+            pipes = list(self._pipes)
+        for pipe in pipes:
+            pipe.close()
         self._accept_thread.join(timeout=2.0)
+
+
+def _refusal(hello: dict | None, auth_token: str | None) -> str | None:
+    """Why a worker's opening message is refused (``None`` to welcome it)."""
+    if hello is None or hello.get("type") != "hello":
+        return "expected a hello message"
+    if hello.get("protocol") != PROTOCOL_VERSION:
+        return (
+            f"protocol version mismatch: coordinator speaks "
+            f"{PROTOCOL_VERSION}, worker announced {hello.get('protocol')!r}"
+        )
+    if auth_token is not None and not hmac.compare_digest(
+        str(hello.get("token") or ""), auth_token
+    ):
+        # Constant-time compare; the reason deliberately does not reveal
+        # whether the token was missing or merely wrong.
+        return "authentication failed: bad or missing worker token"
+    return None
+
+
+def _matching_result(payload: str, unit: WorkUnit) -> UnitResult | None:
+    """The decoded result if it answers ``unit`` with one value per payload."""
+    try:
+        result = _decode(payload)
+    except Exception:  # arbitrary bytes can make unpickling raise anything
+        return None
+    if (
+        isinstance(result, UnitResult)
+        and result.unit_id == unit.unit_id
+        and len(result.values) == len(unit.payloads)
+    ):
+        return result
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -649,18 +787,14 @@ class DistributedBackend(BatchExecutor):
         self._server: _CoordinatorServer | None = None
         self._batch_counter = 0
         self._closed = False
-        #: Job-directory claims re-issued after lease expiry (observability;
-        #: the socket transport tracks re-issues on each batch's UnitLedger).
-        self.reissues = 0
-        # Unique per-coordinator token baked into every task id: without it,
-        # two campaigns reusing one job directory would collide on
-        # "batch-0001" and the second would consume the first's stale result
-        # files (or hang on its DONE marker).
+        # Unique per-coordinator token: it names this coordinator's
+        # job-directory session and prefixes every task id, so campaigns
+        # sharing a job directory never see each other's workers or units.
         self._run_token = uuid.uuid4().hex[:8]
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> str:
-        """Start serving (bind the socket / initialise the job directory).
+        """Start serving (bind the socket / open a job-directory session).
 
         Called implicitly by the first batch; calling it eagerly is useful
         to learn the actual address when binding port 0.  Returns the
@@ -668,19 +802,18 @@ class DistributedBackend(BatchExecutor):
         """
         if self._closed:
             raise RuntimeError("this DistributedBackend has been shut down")
-        if self.coordinator is not None:
-            if self._server is None:
-                host, port = _parse_address(self.coordinator)
-                self._server = _CoordinatorServer(host, port, auth_token=self.auth_token)
-            return self._server.address
-        self._init_job_dir()
-        return str(self.job_dir)
+        if self._server is None:
+            if self.coordinator is not None:
+                listener = _SocketListener(*_parse_address(self.coordinator))
+            else:
+                listener = _JobDirListener(self.job_dir, self._run_token, self.poll_interval)
+            self._server = _CoordinatorServer(listener, auth_token=self.auth_token)
+        return self._server.address
 
     def shutdown(self, *, drain_seconds: float = 0.0) -> None:
-        """Stop serving: close worker connections / write the STOP marker.
+        """Stop serving: close worker connections / the job-directory session.
 
-        Connected socket workers see EOF and exit; job-directory workers see
-        ``STOP`` and exit once no claimable work remains.  Idempotent.
+        Workers read end-of-file and exit.  Idempotent.
 
         ``drain_seconds`` > 0 waits (up to that long) for the in-flight
         batch's ledger to finish before closing, so a service shutting down
@@ -700,8 +833,6 @@ class DistributedBackend(BatchExecutor):
         if self._server is not None:
             self._server.close()
             self._server = None
-        if self.job_dir is not None and self.job_dir.exists():
-            (self.job_dir / "STOP").touch()
 
     def __enter__(self) -> "DistributedBackend":
         self.start()
@@ -734,12 +865,9 @@ class DistributedBackend(BatchExecutor):
         task_id = f"run-{self._run_token}-batch-{self._batch_counter:04d}"
         unit_size = self.unit_size if chunksize is None else max(1, chunksize)
         units = shard_units(fn, payloads, task_id=task_id, unit_size=unit_size)
-        if self.coordinator is not None:
-            return self._iter_socket_results(units)
-        return self._iter_job_dir_results(units)
+        return self._iter_results(units)
 
-    # -- socket transport ----------------------------------------------
-    def _iter_socket_results(self, units: list[WorkUnit]) -> Iterator[Any]:
+    def _iter_results(self, units: list[WorkUnit]) -> Iterator[Any]:
         server = self._server
         assert server is not None  # start() ran in imap_unordered
         ledger = UnitLedger(
@@ -748,12 +876,18 @@ class DistributedBackend(BatchExecutor):
         server.set_ledger(ledger)
         try:
             completed = 0
-            deadline = self._new_deadline()
+            last_progress = time.monotonic()
             while completed < len(units):
                 try:
                     result = ledger.results.get(timeout=0.2)
                 except queue.Empty:
-                    self._check_deadline(deadline, f"{len(units) - completed} units pending")
+                    stalled = time.monotonic() - last_progress
+                    if self.batch_timeout is not None and stalled > self.batch_timeout:
+                        raise RuntimeError(
+                            f"distributed batch made no progress for {self.batch_timeout:g}s "
+                            f"({len(units) - completed} units pending); are any workers "
+                            f"connected?"
+                        ) from None
                     continue
                 if isinstance(result, _UnitFailure):
                     raise RuntimeError(
@@ -761,126 +895,11 @@ class DistributedBackend(BatchExecutor):
                         f"workers, last error: {result.reason}"
                     )
                 completed += 1
-                deadline = self._new_deadline()
+                last_progress = time.monotonic()
                 yield from result.values
         finally:
             server.set_ledger(None)
             ledger.cancel()  # late results from cancelled batches are dropped
-
-    def _new_deadline(self) -> float | None:
-        return None if self.batch_timeout is None else time.monotonic() + self.batch_timeout
-
-    def _check_deadline(self, deadline: float | None, detail: str) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise RuntimeError(
-                f"distributed batch made no progress for {self.batch_timeout:g}s "
-                f"({detail}); are any workers connected?"
-            )
-
-    # -- job-directory transport ---------------------------------------
-    def _init_job_dir(self) -> None:
-        assert self.job_dir is not None
-        self.job_dir.mkdir(parents=True, exist_ok=True)
-        meta_path = self.job_dir / "meta.json"
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            if meta.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"job directory {self.job_dir} uses protocol "
-                    f"{meta.get('protocol')!r}, this coordinator speaks {PROTOCOL_VERSION}"
-                )
-        # (Re)write the metadata so a reused directory reflects *this*
-        # coordinator's configuration, not the first-ever campaign's.
-        _atomic_write_bytes(
-            meta_path,
-            json.dumps(
-                {
-                    "protocol": PROTOCOL_VERSION,
-                    "max_unit_failures": self.max_unit_failures,
-                    "lease_seconds": self.lease_seconds,
-                }
-            ).encode("utf-8"),
-        )
-        # Clear a previous campaign's shutdown marker, or freshly launched
-        # workers would exit on their first idle scan and this campaign
-        # would wait for them forever.
-        try:
-            (self.job_dir / "STOP").unlink()
-        except OSError:
-            pass
-
-    def _batch_dir(self, task_id: str) -> Path:
-        assert self.job_dir is not None
-        return self.job_dir / "batches" / task_id
-
-    def _iter_job_dir_results(self, units: list[WorkUnit]) -> Iterator[Any]:
-        batch_dir = self._batch_dir(units[0].task_id)
-        for sub in ("units", "claims", "results", "errors"):
-            (batch_dir / sub).mkdir(parents=True, exist_ok=True)
-        for unit in units:
-            path = batch_dir / "units" / f"{unit.block_index:05d}.unit"
-            _atomic_write_bytes(path, pickle.dumps(unit))
-        pending = {unit.block_index: unit for unit in units}
-        try:
-            deadline = self._new_deadline()
-            while pending:
-                progressed = False
-                for block_index in sorted(pending):
-                    result_path = batch_dir / "results" / f"{block_index:05d}.result"
-                    if not result_path.exists():
-                        continue
-                    values = pickle.loads(result_path.read_bytes())
-                    pending.pop(block_index)
-                    progressed = True
-                    deadline = self._new_deadline()
-                    yield from values
-                if pending and not progressed:
-                    self._raise_on_exhausted_units(batch_dir, pending)
-                    self._reissue_stale_claims(batch_dir, pending)
-                    self._check_deadline(deadline, f"{len(pending)} units pending")
-                    time.sleep(self.poll_interval)
-        finally:
-            # DONE even on early close, so workers stop scanning this batch.
-            (batch_dir / "DONE").touch()
-
-    def _raise_on_exhausted_units(self, batch_dir: Path, pending: dict[int, WorkUnit]) -> None:
-        """Fail the batch when a unit has crashed on max_unit_failures workers.
-
-        Each failed execution leaves one ``errors/{block}.{attempt-id}.error``
-        file; a unit accumulating ``max_unit_failures`` of them is
-        deterministically broken, and polling forever would hide it.
-        """
-        for block_index in pending:
-            errors = sorted((batch_dir / "errors").glob(f"{block_index:05d}.*.error"))
-            if len(errors) >= self.max_unit_failures:
-                reason = errors[-1].read_text(errors="replace").strip()
-                raise RuntimeError(
-                    f"unit {pending[block_index].unit_id} failed on "
-                    f"{len(errors)} workers, last error: {reason}"
-                )
-
-    def _reissue_stale_claims(self, batch_dir: Path, pending: dict[int, WorkUnit]) -> None:
-        """Delete claims whose worker produced no result within the lease.
-
-        Workers heartbeat their claim's mtime on a timer while executing, so
-        a stale claim means a dead (or wedged) worker, not a slow unit.
-        Deleting the claim lets any live worker re-claim the unit; if the
-        original worker was merely slow and both finish, the atomic result
-        rename makes the duplicate invisible (identical deterministic bytes).
-        """
-        now = time.time()
-        for block_index in pending:
-            claim_path = batch_dir / "claims" / f"{block_index:05d}.claim"
-            try:
-                age = now - claim_path.stat().st_mtime
-            except OSError:
-                continue  # unclaimed (or just completed): nothing to re-issue
-            if age > self.lease_seconds:
-                try:
-                    claim_path.unlink()
-                    self.reissues += 1
-                except OSError:
-                    pass
 
 
 # ----------------------------------------------------------------------
@@ -929,12 +948,14 @@ def run_worker(
         Shared observation-cache directory; unit results are read/written
         under ``<cache_dir>/units/`` so re-issued or repeated units are free.
     poll_interval:
-        Sleep between polls while idle (socket: between ``request`` retries;
-        job dir: between directory scans).
+        Sleep after an ``idle`` reply before the next ``request``; in a job
+        directory also the longest wait between two reads of the reply file.
     connect_timeout:
         How long to keep retrying the initial connection (socket mode) or
-        waiting for ``meta.json`` to appear (job-dir mode) — lets workers
-        start before the coordinator.
+        waiting for ``meta.json`` to name an open session (job-dir mode) —
+        lets workers start before the coordinator, also in a job directory
+        an earlier campaign left behind.  A job-dir worker that sees only
+        closed sessions until then exits without serving.
     max_units:
         Stop after completing this many units (mostly for tests).
     name:
@@ -945,10 +966,10 @@ def run_worker(
         socket transport only (the job directory's trust boundary is its
         filesystem permissions).
     heartbeat_seconds:
-        Cadence of ``heartbeat`` messages sent while a unit executes
-        (socket mode), refreshing the coordinator's leases on this worker's
-        units so long-running units are not speculatively re-issued.
-        ``0`` disables heartbeats (the pre-v2 behaviour).
+        Cadence of ``heartbeat`` messages sent while a unit executes,
+        refreshing the coordinator's leases on this worker's units so
+        long-running units are not speculatively re-issued.  ``0``
+        disables heartbeats (the pre-v2 behaviour).
     """
     if (coordinator is None) == (job_dir is None):
         raise ValueError("run_worker needs exactly one of coordinator= or job_dir=")
@@ -959,15 +980,78 @@ def run_worker(
     stats = WorkerStats()
     worker_name = name or f"{socket.gethostname()}:{os.getpid()}"
     if coordinator is not None:
-        _socket_worker_loop(
-            coordinator, executor, cache_dir, stats, poll_interval, connect_timeout,
-            max_units, worker_name, token, heartbeat_seconds,
-        )
+        pipe = _SocketPipe(_connect_with_retry(coordinator, connect_timeout))
     else:
-        _job_dir_worker_loop(
-            Path(job_dir), executor, cache_dir, stats, poll_interval, connect_timeout,
-            max_units, worker_name,
-        )
+        pipe = _join_job_dir(Path(job_dir), worker_name, poll_interval, connect_timeout)
+        if pipe is None:
+            return stats
+    # The heartbeat thread and the main loop share one pipe; every write
+    # must hold this lock so messages never interleave mid-line.
+    write_lock = threading.Lock()
+    executing = threading.Event()
+    finished = threading.Event()
+
+    def send(message: dict) -> None:
+        with write_lock:
+            _send(pipe, message)
+
+    def heartbeat_loop() -> None:
+        # While a unit executes, heartbeats keep the coordinator refreshing
+        # this worker's leases instead of speculatively re-issuing a long
+        # unit to someone else.
+        while not finished.wait(heartbeat_seconds):
+            if executing.is_set():
+                try:
+                    send({"type": "heartbeat", "worker": worker_name})
+                except OSError:
+                    return  # pipe gone; the main loop will notice
+
+    if heartbeat_seconds > 0:
+        threading.Thread(
+            target=heartbeat_loop, name=f"heartbeat-{worker_name}", daemon=True
+        ).start()
+    try:
+        hello = {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": worker_name}
+        if token is not None:
+            hello["token"] = token
+        send(hello)
+        reply = _recv(pipe)
+        if reply is None:
+            return stats  # coordinator went away before the handshake finished
+        if reply.get("type") == "error":
+            raise ProtocolError(reply.get("reason", "coordinator rejected the handshake"))
+        if reply.get("type") != "welcome":
+            raise ProtocolError(f"unexpected handshake reply: {reply!r}")
+        completed = 0
+        while max_units is None or completed < max_units:
+            send({"type": "request"})
+            message = _recv(pipe)
+            if message is None:
+                break  # clean shutdown: the coordinator closed the pipe
+            if message["type"] == "idle":
+                time.sleep(poll_interval)
+                continue
+            if message["type"] == "error":
+                raise ProtocolError(message.get("reason", "coordinator error"))
+            unit: WorkUnit = _decode(message["payload"])
+            executing.set()
+            try:
+                result = _execute_unit_cached(unit, executor, cache_dir, stats)
+            except Exception as exc:
+                # A crashing payload must not kill the worker: report the
+                # failure so the coordinator can retry elsewhere (and give
+                # up loudly after max_unit_failures), then keep serving.
+                send({"type": "failed", "unit_id": unit.unit_id, "reason": repr(exc)})
+                continue
+            finally:
+                executing.clear()
+            send({"type": "result", "unit_id": result.unit_id, "payload": _encode(result)})
+            completed += 1
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # coordinator died mid-session; our units will be re-issued
+    finally:
+        finished.set()
+        pipe.close()
     return stats
 
 
@@ -983,208 +1067,29 @@ def _connect_with_retry(address: str, connect_timeout: float) -> socket.socket:
             time.sleep(0.1)
 
 
-def _socket_worker_loop(
-    coordinator: str,
-    executor: BatchExecutor | None,
-    cache_dir: str | Path | None,
-    stats: WorkerStats,
-    poll_interval: float,
-    connect_timeout: float,
-    max_units: int | None,
-    worker_name: str,
-    token: str | None = None,
-    heartbeat_seconds: float = 5.0,
-) -> None:
-    conn = _connect_with_retry(coordinator, connect_timeout)
-    conn.settimeout(None)
-    _disable_nagle(conn)
-    stream = conn.makefile("rwb")
-    # The heartbeat thread and the main loop share one socket; every write
-    # must hold this lock so messages never interleave mid-line.
-    write_lock = threading.Lock()
+def _join_job_dir(
+    job_dir: Path, worker_name: str, poll_interval: float, connect_timeout: float
+) -> _FilePipe | None:
+    """Open this worker's pipe in the job directory's open session.
 
-    def send(message: dict) -> None:
-        with write_lock:
-            _send(stream, message)
-
-    try:
-        hello = {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": worker_name}
-        if token is not None:
-            hello["token"] = token
-        _send(stream, hello)
-        reply = _recv(stream)
-        if reply is None:
-            return  # coordinator went away before the handshake finished
-        if reply.get("type") == "error":
-            raise ProtocolError(reply.get("reason", "coordinator rejected the handshake"))
-        if reply.get("type") != "welcome":
-            raise ProtocolError(f"unexpected handshake reply: {reply!r}")
-        completed = 0
-        while max_units is None or completed < max_units:
-            send({"type": "request"})
-            message = _recv(stream)
-            if message is None:
-                break  # clean shutdown: the coordinator closed the connection
-            if message["type"] == "idle":
-                time.sleep(poll_interval)
-                continue
-            if message["type"] == "error":
-                raise ProtocolError(message.get("reason", "coordinator error"))
-            unit: WorkUnit = _decode(message["payload"])
-            # While the unit executes, a side thread heartbeats so the
-            # coordinator keeps refreshing this worker's leases instead of
-            # speculatively re-issuing a long unit to someone else.
-            hb_stop = threading.Event()
-            hb_thread: threading.Thread | None = None
-            if heartbeat_seconds > 0:
-
-                def heartbeat_loop(stop: threading.Event = hb_stop) -> None:
-                    while not stop.wait(heartbeat_seconds):
-                        try:
-                            send({"type": "heartbeat", "worker": worker_name})
-                        except OSError:
-                            return  # connection gone; the main loop will notice
-
-                hb_thread = threading.Thread(
-                    target=heartbeat_loop, name=f"heartbeat-{worker_name}", daemon=True
-                )
-                hb_thread.start()
-            try:
-                result = _execute_unit_cached(unit, executor, cache_dir, stats)
-            except Exception as exc:
-                # A crashing payload must not kill the worker: report the
-                # failure so the coordinator can retry elsewhere (and give
-                # up loudly after max_unit_failures), then keep serving.
-                hb_stop.set()
-                if hb_thread is not None:
-                    hb_thread.join()
-                send({"type": "failed", "unit_id": unit.unit_id, "reason": repr(exc)})
-                continue
-            hb_stop.set()
-            if hb_thread is not None:
-                hb_thread.join()
-            send({"type": "result", "unit_id": result.unit_id, "payload": _encode(result)})
-            completed += 1
-    except (BrokenPipeError, ConnectionResetError):
-        pass  # coordinator died mid-session; our units will be re-issued
-    finally:
-        try:
-            stream.close()
-        except OSError:
-            pass
-        conn.close()
-
-
-def _job_dir_worker_loop(
-    job_dir: Path,
-    executor: BatchExecutor | None,
-    cache_dir: str | Path | None,
-    stats: WorkerStats,
-    poll_interval: float,
-    connect_timeout: float,
-    max_units: int | None,
-    worker_name: str,
-) -> None:
-    meta_path = job_dir / "meta.json"
-    start_wall = time.time()
+    A reused directory still names the previous campaign's (closed)
+    session until the next coordinator starts, so wait for an open one;
+    ``None`` if none appeared within ``connect_timeout``.
+    """
     deadline = time.monotonic() + connect_timeout
-    while not meta_path.exists():
+    while True:
+        meta = _read_meta(job_dir)
+        if meta and _session_live(job_dir / "sessions" / meta["session"]):
+            break
         if time.monotonic() >= deadline:
-            raise FileNotFoundError(
-                f"no coordinator metadata at {meta_path} after {connect_timeout:g}s"
-            )
+            if not meta:
+                raise FileNotFoundError(
+                    f"no coordinator metadata at {job_dir / 'meta.json'} "
+                    f"after {connect_timeout:g}s"
+                )
+            return None
         time.sleep(0.1)
-    meta = json.loads(meta_path.read_text())
-    if meta.get("protocol") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"job directory {job_dir} uses protocol {meta.get('protocol')!r}, "
-            f"this worker speaks {PROTOCOL_VERSION}"
-        )
-    max_failures = int(meta.get("max_unit_failures", 3))
-    lease_seconds = float(meta.get("lease_seconds", 30.0))
-    safe_name = _filename_safe(worker_name)
-    completed = 0
-    while max_units is None or completed < max_units:
-        did_work = False
-        for batch_dir in sorted(p for p in (job_dir / "batches").glob("*") if p.is_dir()):
-            if (batch_dir / "DONE").exists():
-                continue
-            for unit_path in sorted((batch_dir / "units").glob("*.unit")):
-                block = unit_path.stem
-                result_path = batch_dir / "results" / f"{block}.result"
-                if result_path.exists():
-                    continue
-                # A unit that already crashed max_unit_failures times is the
-                # coordinator's to fail; retrying it again only burns time.
-                attempts = len(list((batch_dir / "errors").glob(f"{block}.*.error")))
-                if attempts >= max_failures:
-                    continue
-                claim_path = batch_dir / "claims" / f"{block}.claim"
-                try:
-                    with open(claim_path, "x") as claim:
-                        claim.write(json.dumps({"worker": worker_name, "time": time.time()}))
-                except FileExistsError:
-                    continue  # another worker owns (or owned) this unit
-
-                # Heartbeat the claim's mtime on a timer for as long as the
-                # unit runs, so the coordinator's lease only expires claims
-                # of dead workers — never of live workers on slow units
-                # (heavy-tailed runs routinely outlast any fixed lease).
-                stop_heartbeat = threading.Event()
-
-                def heartbeat_loop(
-                    path: Path = claim_path, stop: threading.Event = stop_heartbeat
-                ) -> None:
-                    while not stop.wait(max(lease_seconds / 4.0, 0.05)):
-                        try:
-                            os.utime(path)
-                        except OSError:
-                            pass  # claim was leased away; dedup covers the rest
-
-                heartbeat = threading.Thread(target=heartbeat_loop, daemon=True)
-                heartbeat.start()
-                unit: WorkUnit = pickle.loads(unit_path.read_bytes())
-                try:
-                    result = _execute_unit_cached(unit, executor, cache_dir, stats)
-                except Exception as exc:
-                    # Leave an error file for the coordinator's failure
-                    # accounting and release the claim so the unit can be
-                    # retried (here or elsewhere) until attempts run out.
-                    error_path = (
-                        batch_dir
-                        / "errors"
-                        / f"{block}.{safe_name}-{os.getpid()}-{attempts + 1}.error"
-                    )
-                    error_path.parent.mkdir(parents=True, exist_ok=True)
-                    error_path.write_text(repr(exc))
-                    try:
-                        claim_path.unlink()
-                    except OSError:
-                        pass
-                    did_work = True  # progress was made: an attempt was recorded
-                    continue
-                finally:
-                    stop_heartbeat.set()
-                    heartbeat.join(timeout=2.0)
-                result_path.parent.mkdir(parents=True, exist_ok=True)
-                _atomic_write_bytes(result_path, pickle.dumps(list(result.values)))
-                # First writer wins; duplicates are byte-identical anyway.
-                did_work = True
-                completed += 1
-                if max_units is not None and completed >= max_units:
-                    return
-        if not did_work:
-            # Honour STOP only when it postdates this worker (a live
-            # shutdown) or the connect grace has passed: a stale marker
-            # from a previous campaign must not kill workers launched
-            # just before the next coordinator starts and clears it.
-            stop = job_dir / "STOP"
-            try:
-                stop_mtime: float | None = stop.stat().st_mtime
-            except OSError:
-                stop_mtime = None
-            if stop_mtime is not None and (
-                stop_mtime >= start_wall or time.monotonic() >= deadline
-            ):
-                return
-            time.sleep(poll_interval)
+    pipe_name = f"{_filename_safe(worker_name)}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    pipe_dir = job_dir / "sessions" / meta["session"] / pipe_name
+    pipe_dir.mkdir()
+    return _FilePipe(pipe_dir, "down", poll_interval)

@@ -47,9 +47,11 @@ class LockstepBackend(BatchExecutor):
     The backend runs entirely in the calling process (no pool, no
     pickling); results are yielded in submission order.  ``chunksize`` is
     accepted for interface compatibility and ignored — batching *is* the
-    point, and racing callers still get first-finisher semantics because
-    walks retire from the kernel individually (their ``runtime_seconds``
-    reflects retirement, not block completion).
+    point.  Walks retire from the kernel individually (their
+    ``runtime_seconds`` reflects retirement, not block completion), but
+    the kernel runs every walk of a block to retirement before yielding,
+    so ``run_race`` gets no first-finisher race here: it returns the
+    lowest-index solved walk, the same winner as ``serial``.
     """
 
     name = "lockstep"

@@ -31,7 +31,12 @@ __all__ = [
 #: workers announcing a different version rather than mis-decode their data.
 #: v2: socket handshake carries an optional auth token and workers send
 #: periodic ``heartbeat`` messages while executing a unit.
-PROTOCOL_VERSION = 2
+#: v3: the job directory carries the socket's message stream (per-worker
+#: ``up``/``down`` line files in a session directory) instead of unit,
+#: claim and result files.  The layout changed, not the messages: without
+#: the bump a v2 job-dir worker would poll a v3 directory forever instead of
+#: being refused.
+PROTOCOL_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)

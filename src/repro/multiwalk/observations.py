@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import uuid
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -195,9 +197,22 @@ class RuntimeObservations:
             seeds=np.asarray(payload["seeds"], dtype=np.int64),
         )
 
-    def save(self, path: str | Path) -> None:
-        """Write the batch to a JSON file."""
-        Path(path).write_text(json.dumps(self.to_dict()))
+    def save(self, path: str | Path) -> int:
+        """Write the batch to a JSON file; returns the file's size in bytes.
+
+        The bytes go to a uniquely named sibling that then replaces ``path``,
+        so neither a crash mid-write nor a concurrent reader ever sees a torn
+        file.
+        """
+        path = Path(path)
+        data = json.dumps(self.to_dict()).encode("utf-8")
+        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return len(data)
 
     @classmethod
     def load(cls, path: str | Path) -> "RuntimeObservations":

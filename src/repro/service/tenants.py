@@ -25,7 +25,6 @@ contract — stays in the base class.
 from __future__ import annotations
 
 import collections
-import os
 import threading
 from pathlib import Path
 
@@ -129,10 +128,7 @@ class TenantCacheStore:
     def store(self, tenant: str, name: str, observations: RuntimeObservations) -> Path:
         """Persist a batch into the shared pool and attribute it to ``tenant``."""
         path = self.object_path(name)
-        tmp = path.with_name(f"{name}.tmp-{os.getpid()}-{threading.get_ident()}")
-        observations.save(tmp)
-        size = tmp.stat().st_size
-        os.replace(tmp, path)
+        size = observations.save(path)
         (self.tenant_dir(tenant) / name).touch()
         with self._lock:
             self._lru[name] = size

@@ -1,5 +1,7 @@
 """On-disk observation cache (repro.engine.cache)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,23 @@ class TestObservationCache:
         second = collect_batch(solver, 6, base_seed=4, cache=tmp_path, backend="process", workers=2)
         np.testing.assert_array_equal(first.iterations, second.iterations)
         assert len(list(tmp_path.glob("observations-*.json"))) == 1
+
+    def test_interrupted_write_leaves_no_torn_file(self, tmp_path, monkeypatch):
+        """A write that dies halfway must not poison the key for later campaigns."""
+        cache = ObservationCache(tmp_path)
+        batch = collect_batch(CountingAlgorithm(), 10, base_seed=1)
+        path = cache.path_for(CountingAlgorithm(), 10, 1, label=batch.label)
+
+        def write_half_then_fail(target, data, *args, **kwargs):
+            with open(target, "wb" if isinstance(data, bytes) else "w") as stream:
+                stream.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            cache.write_batch(batch, path)
+        monkeypatch.undo()
+        assert not path.exists()
+        assert cache.read_batch(path) is None
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind either

@@ -5,13 +5,13 @@ yields bit-identical observations (iterations, solved flags, seeds) no
 matter how many workers connect, which transport carried the units, or
 which worker ran which ``(task, seed-block)``.  These tests pin it with
 in-process workers (threads running :func:`run_worker`) on both the socket
-and the job-directory transports, and exercise the failure paths: a worker
-dying mid-unit, protocol-version mismatches, stale job-directory claims and
-duplicate result submissions.
+and the job-directory transports, and exercise the failure paths on both
+pipes: a worker dying or going silent mid-unit, crashing payloads, forged
+or short results, protocol-version mismatches and duplicate result
+submissions.
 """
 
 import json
-import os
 import socket
 import threading
 import time
@@ -25,12 +25,16 @@ from repro.engine.distributed import (
     DistributedBackend,
     ProtocolError,
     UnitLedger,
+    _decode,
+    _encode,
+    _join_job_dir,
     _recv,
     _send,
+    _SocketPipe,
     execute_unit,
     run_worker,
 )
-from repro.engine.tasks import PROTOCOL_VERSION, RunTask, execute_run, shard_units
+from repro.engine.tasks import PROTOCOL_VERSION, RunTask, UnitResult, execute_run, shard_units
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 
@@ -113,6 +117,69 @@ def _join_workers(workers, timeout=10.0):
     return workers
 
 
+#: Every test taking this fixture runs once per pipe the protocol travels over.
+@pytest.fixture(params=["socket", "job_dir"])
+def transport(request):
+    return request.param
+
+
+def _make_backend(transport, tmp_path, **kwargs):
+    """A started backend on ``transport``, so threads never race to start it."""
+    kwargs.setdefault("poll_interval", 0.01)
+    if transport == "socket":
+        backend = DistributedBackend(coordinator="127.0.0.1:0", **kwargs)
+    else:
+        backend = DistributedBackend(job_dir=tmp_path / "jobs", **kwargs)
+    backend.start()
+    return backend
+
+
+def _worker_target(backend):
+    """run_worker's transport keyword for a started ``backend``."""
+    key = "coordinator" if backend.coordinator is not None else "job_dir"
+    return {key: backend.start()}
+
+
+def _hand_driven_worker(backend, name):
+    """A worker pipe driven message by message, past the handshake."""
+    if backend.coordinator is not None:
+        host, _, port = backend.start().rpartition(":")
+        pipe = _SocketPipe(socket.create_connection((host, int(port))))
+    else:
+        pipe = _join_job_dir(backend.job_dir, name, poll_interval=0.01, connect_timeout=5.0)
+    _send(pipe, {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": name})
+    assert _recv(pipe)["type"] == "welcome"
+    return pipe
+
+
+def _take_unit(pipe):
+    """Request until the coordinator hands out a unit (the batch may not have started)."""
+    reply = {"type": "idle"}
+    deadline = time.monotonic() + 10.0
+    while reply["type"] == "idle":
+        assert time.monotonic() < deadline
+        _send(pipe, {"type": "request"})
+        reply = _recv(pipe)
+    assert reply["type"] == "unit"
+    return _decode(reply["payload"])
+
+
+def _collect_in_background(algorithm, n_runs, base_seed, backend):
+    """collect_batch on a thread; the list gets every progress event, then the batch."""
+    events = []
+    collector = threading.Thread(
+        target=lambda: events.append(
+            collect_batch(
+                algorithm, n_runs, base_seed=base_seed, backend=backend,
+                progress=events.append,
+            )
+        ),
+        daemon=True,
+    )
+    collector.start()
+    return collector, events
+
+
 class TestSocketEquivalence:
     def test_bit_identical_to_serial_on_real_solver(self, socket_backend):
         serial = collect_batch(_nqueens(), 12, base_seed=17)
@@ -174,8 +241,8 @@ class TestSocketEquivalence:
         monkeypatch.setattr(socket, "create_connection", recording_create_connection)
         workers = _spawn_workers(1, coordinator=socket_backend.start())
         collect_batch(SyntheticAlgorithm(), 8, base_seed=1, backend=socket_backend)
-        with socket_backend._server._connections_lock:
-            accepted = list(socket_backend._server._connections)
+        with socket_backend._server._pipes_lock:
+            accepted = [pipe.sock for pipe in socket_backend._server._pipes]
         nodelay = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
         assert [conn.getsockopt(*nodelay) for conn in connected] == [1]
         assert [conn.getsockopt(*nodelay) for conn in accepted] == [1]
@@ -207,42 +274,6 @@ class TestJobDirEquivalence:
         _join_workers(dir_workers)
 
         assert _deterministic_fields(via_socket) == _deterministic_fields(via_job_dir)
-
-    def test_stale_claim_is_reissued(self, tmp_path):
-        """A claim without a result is leased back after lease_seconds."""
-        job_dir = tmp_path / "jobs"
-        backend = DistributedBackend(
-            job_dir=job_dir, poll_interval=0.01, lease_seconds=0.2, unit_size=4
-        )
-        backend.start()
-        serial = collect_batch(SyntheticAlgorithm(), 12, base_seed=2)
-        holder = []
-        collector = threading.Thread(
-            target=lambda: holder.append(
-                collect_batch(SyntheticAlgorithm(), 12, base_seed=2, backend=backend)
-            ),
-            daemon=True,
-        )
-        collector.start()
-        # Wait for the coordinator to publish the batch's unit files, then
-        # simulate a worker that claimed the first unit and died: the claim
-        # file exists (already stale) but no result will ever follow.
-        deadline = time.monotonic() + 10.0
-        while not list(job_dir.glob("batches/*/units/00000.unit")):
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        (batch_dir,) = [p for p in (job_dir / "batches").iterdir() if p.is_dir()]
-        stale = batch_dir / "claims" / "00000.claim"
-        stale.write_text(json.dumps({"worker": "dead-worker", "time": 0.0}))
-        os.utime(stale, (time.time() - 60.0, time.time() - 60.0))
-
-        workers = _spawn_workers(1, job_dir=job_dir)
-        collector.join(timeout=30.0)
-        assert not collector.is_alive()
-        backend.shutdown()
-        _join_workers(workers)
-        np.testing.assert_array_equal(holder[0].iterations, serial.iterations)
-        assert workers[0].stats.units_completed == 3  # incl. the re-issued unit
 
     def test_reusing_a_job_dir_across_campaigns_stays_correct(self, tmp_path):
         """Two coordinators sharing one job directory must not cross-read.
@@ -323,32 +354,100 @@ class TestWorkerDeath:
         np.testing.assert_array_equal(batch.seeds, reference.seeds)
 
 
+    def test_job_dir_worker_that_exits_returns_its_unit_at_once(self, tmp_path):
+        """Closing a job-directory pipe is end-of-file for the coordinator,
+        as a dropped socket is: the unit is requeued without waiting out
+        its (30 s) lease."""
+        backend = _make_backend("job_dir", tmp_path)
+        collector, events = _collect_in_background(SyntheticAlgorithm(), 12, 17, backend)
+        doomed = _hand_driven_worker(backend, "doomed")
+        _take_unit(doomed)
+        doomed.close()
+        survivors = _spawn_workers(1, **_worker_target(backend))
+        collector.join(timeout=10.0)
+        assert not collector.is_alive()
+        backend.shutdown()
+        _join_workers(survivors)
+        batch, progress = events[-1], events[:-1]
+        assert sorted(e.index for e in progress) == list(range(12))
+        reference = collect_batch(SyntheticAlgorithm(), 12, base_seed=17)
+        np.testing.assert_array_equal(batch.iterations, reference.iterations)
+
+    def test_silent_worker_loses_its_unit_when_the_lease_lapses(self, transport, tmp_path):
+        """A worker that takes a unit and goes silent without dropping its
+        pipe (a hung process; on the job directory, also a dead one) keeps
+        the unit only until its lease lapses: the ledger re-issues it, and
+        the batch equals serial with no duplicate observations."""
+        backend = _make_backend(transport, tmp_path, lease_seconds=0.2)
+        collector, events = _collect_in_background(SyntheticAlgorithm(), 12, 2, backend)
+        silent = _hand_driven_worker(backend, "silent")
+        _take_unit(silent)  # ...and never speaks again
+        workers = _spawn_workers(1, **_worker_target(backend))
+        collector.join(timeout=30.0)
+        assert not collector.is_alive()
+        backend.shutdown()
+        _join_workers(workers)
+        silent.close()
+        batch, progress = events[-1], events[:-1]
+        assert sorted(e.index for e in progress) == list(range(12))  # no dupes, no holes
+        reference = collect_batch(SyntheticAlgorithm(), 12, base_seed=2)
+        np.testing.assert_array_equal(batch.iterations, reference.iterations)
+        np.testing.assert_array_equal(batch.seeds, reference.seeds)
+        assert workers[0].stats.units_completed == 3  # incl. the re-issued unit
+
+
+class TestResultAdmission:
+    def test_only_the_holders_matching_result_counts(self, transport, tmp_path):
+        """A result settles a unit only when it comes from the connection
+        holding that unit, names that unit and carries one value per
+        payload.  A forged result for another unit is dropped; a result
+        naming the wrong unit or missing a value is a failed attempt."""
+        backend = _make_backend(transport, tmp_path)
+        collector, events = _collect_in_background(SyntheticAlgorithm(), 12, 4, backend)
+        forger = _hand_driven_worker(backend, "forger")
+        unit = _take_unit(forger)
+        values = execute_unit(unit).values
+        other_id = f"{unit.task_id}/{(unit.block_index + 1) % 3}"
+        forged = _encode(UnitResult(unit_id=other_id, values=values))
+        # Another unit's id on both the message and the result: not held here.
+        _send(forger, {"type": "result", "unit_id": other_id, "payload": forged})
+        # The held unit's id on the message, another unit's in the result.
+        _send(forger, {"type": "result", "unit_id": unit.unit_id, "payload": forged})
+        unit = _take_unit(forger)
+        short = _encode(UnitResult(unit_id=unit.unit_id, values=execute_unit(unit).values[:-1]))
+        _send(forger, {"type": "result", "unit_id": unit.unit_id, "payload": short})
+        held = _take_unit(forger)  # the coordinator has read every forgery above
+        _send(forger, {"type": "failed", "unit_id": held.unit_id, "reason": "forger leaves"})
+        forger.close()
+        workers = _spawn_workers(1, **_worker_target(backend))
+        collector.join(timeout=30.0)
+        assert not collector.is_alive()
+        backend.shutdown()
+        _join_workers(workers)
+        batch, progress = events[-1], events[:-1]
+        assert sorted(e.index for e in progress) == list(range(12))
+        reference = collect_batch(SyntheticAlgorithm(), 12, base_seed=4)
+        np.testing.assert_array_equal(batch.iterations, reference.iterations)
+        np.testing.assert_array_equal(batch.seeds, reference.seeds)
+
+
 class TestFailingUnits:
-    def test_socket_batch_fails_loudly_after_retries(self, socket_backend):
+    def test_batch_fails_loudly_after_retries(self, transport, tmp_path):
         """A deterministically-crashing payload must not hang the campaign:
         the unit is retried max_unit_failures times, the worker survives,
         and the batch raises with the underlying error."""
-        workers = _spawn_workers(1, coordinator=socket_backend.start())
-        with pytest.raises(RuntimeError, match="deterministic solver bug"):
-            collect_batch(AlwaysCrashes(), 4, base_seed=0, backend=socket_backend)
-        # The worker is still alive and serves the next (healthy) batch.
-        batch = collect_batch(SyntheticAlgorithm(), 8, base_seed=1, backend=socket_backend)
-        reference = collect_batch(SyntheticAlgorithm(), 8, base_seed=1)
-        np.testing.assert_array_equal(batch.iterations, reference.iterations)
-        socket_backend.shutdown()
-        _join_workers(workers)
-
-    def test_job_dir_batch_fails_loudly_after_retries(self, tmp_path):
-        job_dir = tmp_path / "jobs"
-        backend = DistributedBackend(job_dir=job_dir, poll_interval=0.01, unit_size=4)
-        backend.start()
-        workers = _spawn_workers(1, job_dir=job_dir)
+        backend = _make_backend(transport, tmp_path)
+        workers = _spawn_workers(1, **_worker_target(backend))
         try:
             with pytest.raises(RuntimeError, match="deterministic solver bug"):
                 collect_batch(AlwaysCrashes(), 4, base_seed=0, backend=backend)
+            # The worker is still alive and serves the next (healthy) batch.
+            batch = collect_batch(SyntheticAlgorithm(), 8, base_seed=1, backend=backend)
         finally:
             backend.shutdown()
         _join_workers(workers)
+        reference = collect_batch(SyntheticAlgorithm(), 8, base_seed=1)
+        np.testing.assert_array_equal(batch.iterations, reference.iterations)
 
     def test_ledger_fail_retries_then_gives_up(self):
         payloads = [RunTask(SyntheticAlgorithm(), i, i) for i in range(4)]
@@ -481,12 +580,13 @@ class TestUnitLedger:
 
 
 class TestUnitCache:
-    def test_workers_reuse_unit_results_across_batches(self, tmp_path, socket_backend):
+    def test_workers_reuse_unit_results_across_batches(self, transport, tmp_path):
         cache_dir = tmp_path / "cache"
-        workers = _spawn_workers(1, coordinator=socket_backend.start(), cache_dir=cache_dir)
-        first = collect_batch(SyntheticAlgorithm(), 12, base_seed=6, backend=socket_backend)
-        again = collect_batch(SyntheticAlgorithm(), 12, base_seed=6, backend=socket_backend)
-        socket_backend.shutdown()
+        backend = _make_backend(transport, tmp_path)
+        workers = _spawn_workers(1, cache_dir=cache_dir, **_worker_target(backend))
+        first = collect_batch(SyntheticAlgorithm(), 12, base_seed=6, backend=backend)
+        again = collect_batch(SyntheticAlgorithm(), 12, base_seed=6, backend=backend)
+        backend.shutdown()
         _join_workers(workers)
         np.testing.assert_array_equal(first.iterations, again.iterations)
         stats = workers[0].stats
@@ -709,19 +809,15 @@ class TestHeartbeats:
         ledger = UnitLedger(units, lease_seconds=10.0)
         assert ledger.touch("ghost") == 0
 
-    def test_heartbeats_prevent_speculative_reissue_of_slow_units(self):
+    def test_heartbeats_prevent_speculative_reissue_of_slow_units(self, transport, tmp_path):
         """A unit slower than the lease stays with its worker: heartbeats
         refresh the lease, so no unit is ever executed twice."""
-        backend = DistributedBackend(
-            coordinator="127.0.0.1:0",
-            poll_interval=0.01,
+        backend = _make_backend(
+            transport, tmp_path,
             lease_seconds=0.2,
             unit_size=4,  # 4 runs x ~80ms >> the 200ms lease
         )
-        backend.start()
-        workers = _spawn_workers(
-            2, coordinator=backend.start(), heartbeat_seconds=0.05
-        )
+        workers = _spawn_workers(2, heartbeat_seconds=0.05, **_worker_target(backend))
         try:
             batch = collect_batch(SlowAlgorithm(), 16, base_seed=13, backend=backend)
         finally:
@@ -789,12 +885,9 @@ class TestHeartbeats:
 
 
 class TestGracefulDrain:
-    def test_shutdown_waits_for_inflight_batch(self):
-        backend = DistributedBackend(
-            coordinator="127.0.0.1:0", poll_interval=0.01, unit_size=4
-        )
-        address = backend.start()
-        workers = _spawn_workers(1, coordinator=address, heartbeat_seconds=0.05)
+    def test_shutdown_waits_for_inflight_batch(self, transport, tmp_path):
+        backend = _make_backend(transport, tmp_path, unit_size=4)
+        workers = _spawn_workers(1, heartbeat_seconds=0.05, **_worker_target(backend))
         holder = []
         collector = threading.Thread(
             target=lambda: holder.append(
