@@ -527,9 +527,8 @@ class AdaptiveController(Controller):
 class OffController(StaticController):
     """The default controller: the static plan under its own name.
 
-    Takes no parameters, so its reports record none; the orchestrator
-    serves its one round per stage from the observation cache like any
-    other round that starts a stage's seed stream.
+    Takes no parameters, so its reports record none; its one round per
+    stage is an ordinary content-addressed batch, like every round.
     """
 
     name = "off"

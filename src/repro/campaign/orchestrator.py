@@ -14,11 +14,12 @@ the completed runs.  The controllers:
   censoring-aware fits: reduced-cutoff (kill-and-reseed) rounds, a
   fixed-vs-Luby cutoff schedule and predictor-driven worker allocation.
 
-A round that starts a stage's seed stream is a classic batch — ``n_runs``
-runs at one budget from the stage's seed root — so it goes through
-:func:`repro.engine.collect_batch` and the observation cache, whose key
-names the solver (budget included), the run count and the seed root.
-Later rounds extend the stream through :func:`repro.engine.iter_runs`.
+Every round is one content-addressed batch: ``n_runs`` runs at one budget,
+starting where the stage's seed stream stands after the rounds before it.
+It goes through :func:`repro.engine.collect_batch` and the observation
+cache, whose key names the solver (budget included), the label, the run
+count, the seed root and the round's start in the stream.  A repeated
+campaign on one cache therefore runs nothing, under every controller.
 
 Two invariants hold regardless of controller:
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import time
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -56,11 +56,14 @@ from repro.campaign.report import CampaignReport, StageReport
 from repro.campaign.stages import StageSpec, resolve_stage_order
 from repro.engine.backends import BatchExecutor, default_worker_count
 from repro.engine.cache import ObservationCache
-from repro.engine.core import collect_batch, iter_runs, resolve_backend
-from repro.engine.progress import BatchProgress, ProgressCallback
+from repro.engine.core import collect_batch, resolve_backend
+# Unused here, but kept importable: perfbench's tracer
+# (perfbench/spans.py::install) looks iter_runs up on this module to wrap
+# it, and a missing name would crash every traced run.
+from repro.engine.core import iter_runs  # noqa: F401
+from repro.engine.progress import ProgressCallback
 from repro.engine.seeding import spawn_seeds
 from repro.multiwalk.observations import RuntimeObservations
-from repro.solvers.base import RunResult
 
 __all__ = ["CampaignError", "ReplayError", "replay_decisions", "run_campaign", "verify_report"]
 
@@ -180,10 +183,12 @@ def _finish_stage(
     return None
 
 
-def _records_from_batch(batch: RuntimeObservations, budget: int) -> tuple[StageRunRecord, ...]:
+def _records_from_batch(
+    batch: RuntimeObservations, budget: int, start: int
+) -> tuple[StageRunRecord, ...]:
     return tuple(
         StageRunRecord(
-            index=i,
+            index=start + i,
             seed=int(batch.seeds[i]),
             iterations=int(batch.iterations[i]),
             solved=bool(batch.solved[i]),
@@ -233,10 +238,11 @@ def run_campaign(
         ``"off"`` (default), ``"static"``, ``"adaptive"``, or a configured
         :class:`~repro.campaign.controller.Controller` instance.
     backend, workers, progress, cache:
-        Engine plumbing, as for :func:`repro.engine.collect_batch`.  The
-        cache serves every round that starts a stage's seed stream (the
-        whole stage under ``off``/``static``, the probe round under
-        ``adaptive``).
+        Engine plumbing, as for :func:`repro.engine.collect_batch`.  Every
+        round is one ``collect_batch`` call starting where the stage's seed
+        stream stands, so the cache serves every round of every controller
+        (one file per ``round`` decision).  Progress events count runs
+        along the stage's stream.
     dry_run:
         Resolve the DAG, record every stage's static plan (seed blocks
         included) in the decision log and return — no solver runs, no
@@ -297,52 +303,20 @@ def run_campaign(
     stage_reports: list[StageReport] = []
     try:
         for stage in order:
-            start = time.perf_counter()
-
             def fetch_round(
-                plan: RoundPlan, issued: int, stage=stage, start=start
+                plan: RoundPlan, issued: int, stage=stage
             ) -> Sequence[StageRunRecord]:
-                solver = stage.make_solver(plan.budget)
-                executor = executor_for(plan)
-                if issued == 0:
-                    batch = collect_batch(
-                        solver,
-                        plan.n_runs,
-                        base_seed=stage.base_seed,
-                        label=stage.label,
-                        backend=executor,
-                        progress=progress,
-                        cache=cache,
-                    )
-                    return _records_from_batch(batch, plan.budget)
-                seeds = spawn_seeds(stage.base_seed, issued + plan.n_runs)[issued:]
-                results: list[RunResult | None] = [None] * plan.n_runs
-                completed = 0
-                for local, result in iter_runs(solver, seeds, backend=executor):
-                    results[local] = result
-                    completed += 1
-                    if progress is not None:
-                        progress(
-                            BatchProgress(
-                                index=issued + local,
-                                completed=issued + completed,
-                                total=issued + plan.n_runs,
-                                result=result,
-                                elapsed_seconds=time.perf_counter() - start,
-                            )
-                        )
-                assert completed == plan.n_runs  # every backend delivers every run
-                return [
-                    StageRunRecord(
-                        index=issued + offset,
-                        seed=int(seeds[offset]),
-                        iterations=int(result.iterations),
-                        solved=bool(result.solved),
-                        budget=plan.budget,
-                        runtime_seconds=float(result.runtime_seconds),
-                    )
-                    for offset, result in enumerate(results)
-                ]
+                batch = collect_batch(
+                    stage.make_solver(plan.budget),
+                    plan.n_runs,
+                    base_seed=stage.base_seed,
+                    start=issued,
+                    label=stage.label,
+                    backend=executor_for(plan),
+                    progress=progress,
+                    cache=cache,
+                )
+                return _records_from_batch(batch, plan.budget, issued)
 
             records = _drive_stage(stage, controller, log, fetch_round)
             failure = _finish_stage(log, stage, records, controller.counted)

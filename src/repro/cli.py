@@ -72,7 +72,7 @@ from repro.engine.core import BACKENDS, resolve_backend
 from repro.engine.distributed import DistributedBackend, ProtocolError, run_worker
 from repro.engine.lockstep import LockstepBackend
 from repro.engine.progress import BatchProgress
-from repro.experiments.config import SAT_FAMILIES, ExperimentConfig
+from repro.experiments.config import PROFILES, SAT_FAMILIES, ExperimentConfig
 from repro.experiments.data import CampaignSummary, observation_cache
 from repro.experiments.stages import STAGE_KINDS, campaign_stages, canonical_emit_order
 from repro.sat.dimacs import bundled_instance_names
@@ -87,18 +87,8 @@ from repro.experiments.registry import (
 __all__ = ["build_parser", "main"]
 
 
-#: Profile names accepted by every campaign-running subcommand.
-PROFILES: tuple[str, ...] = ("tiny", "quick", "medium", "full")
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    profiles = {
-        "quick": ExperimentConfig.quick,
-        "medium": ExperimentConfig.medium,
-        "full": ExperimentConfig.full,
-        "tiny": ExperimentConfig.tiny,
-    }
-    config = profiles[args.profile]()
+    config = PROFILES[args.profile]()
     overrides = {}
     if getattr(args, "runs", None):
         overrides["n_sequential_runs"] = args.runs
@@ -228,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="experiment ids (e.g. table5 figure9) or 'all'",
     )
-    run_parser.add_argument("--profile", choices=PROFILES, default="quick")
+    run_parser.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     run_parser.add_argument("--runs", type=int, default=None, help="override sequential run count")
     run_parser.add_argument("--seed", type=int, default=None, help="override the base seed")
     _add_sat_workload_arguments(run_parser)
@@ -256,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser = subparsers.add_parser(
         "campaign", help="collect the sequential solver campaigns used by the experiments"
     )
-    campaign_parser.add_argument("--profile", choices=PROFILES, default="quick")
+    campaign_parser.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     campaign_parser.add_argument("--runs", type=int, default=None)
     campaign_parser.add_argument("--seed", type=int, default=None)
     campaign_parser.add_argument("--progress", action="store_true", help="print per-run progress")
@@ -329,22 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "thread", "process"),
         default="serial",
         help="local backend each work unit runs on (default: serial; 'process' "
-        "pays spawn-pool startup per unit, so pair it with a larger "
-        "coordinator --unit-size)",
+        "starts one spawn pool on the first unit and keeps it warm for the "
+        "whole session)",
     )
     worker_parser.add_argument(
         "--workers",
         type=int,
         default=None,
         help="worker count for the local thread/process backend",
-    )
-    worker_parser.add_argument(
-        "--cache",
-        "--cache-dir",
-        dest="cache_dir",
-        type=str,
-        default=None,
-        help="shared observation-cache directory (unit results are reused across the fleet)",
     )
     worker_parser.add_argument(
         "--poll-interval",
@@ -787,7 +769,6 @@ def _command_worker(args: argparse.Namespace) -> int:
             coordinator=args.connect,
             job_dir=args.job_dir,
             executor=executor,
-            cache_dir=args.cache_dir,
             poll_interval=args.poll_interval,
             connect_timeout=args.connect_timeout,
             max_units=args.max_units,
@@ -803,8 +784,7 @@ def _command_worker(args: argparse.Namespace) -> int:
     finally:
         executor.close()  # a process backend's pool stays warm across units
     print(
-        f"worker done: units={stats.units_completed} runs={stats.runs_completed} "
-        f"cache-hits={stats.cache_hits}",
+        f"worker done: units={stats.units_completed} runs={stats.runs_completed}",
         file=sys.stderr,
     )
     return 0

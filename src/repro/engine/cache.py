@@ -1,8 +1,8 @@
 """On-disk cache for collected observation batches.
 
 Solver campaigns dominate the cost of every solver-backed experiment, yet
-for a fixed ``(solver, configuration, problem, base seed, run count)`` the
-batch is fully deterministic — so re-running it is pure waste.
+for a fixed ``(solver, configuration, problem, base seed, start, run
+count)`` the batch is fully deterministic — so re-running it is pure waste.
 :class:`ObservationCache` persists each batch as JSON under a key derived
 from exactly those ingredients; repeated campaigns (across processes, CLI
 invocations or backends) are then free.  Because seed derivation is
@@ -82,7 +82,8 @@ class ObservationCache:
     """Directory of JSON-serialised :class:`RuntimeObservations` batches.
 
     Files are named ``observations-{digest}.json`` where the digest hashes the
-    full cache key ``(algorithm fingerprint, label, n_runs, base_seed)``.
+    full cache key ``(algorithm fingerprint, label, n_runs, base_seed)``,
+    plus the batch's ``start`` in its seed stream when that is not 0.
     The cache is purely content-addressed: there is no invalidation beyond
     "a different key is a different file", which is exactly right for
     deterministic campaigns.
@@ -99,17 +100,18 @@ class ObservationCache:
         base_seed: int,
         *,
         label: str | None = None,
+        start: int = 0,
     ) -> str:
-        """Hex digest identifying one campaign."""
-        ingredients = "|".join(
-            [
-                algorithm_fingerprint(algorithm),
-                label or algorithm.describe(),
-                f"n_runs={int(n_runs)}",
-                f"base_seed={int(base_seed)}",
-            ]
-        )
-        return hashlib.sha256(ingredients.encode()).hexdigest()[:24]
+        """Hex digest identifying one batch."""
+        ingredients = [
+            algorithm_fingerprint(algorithm),
+            label or algorithm.describe(),
+            f"n_runs={int(n_runs)}",
+            f"base_seed={int(base_seed)}",
+        ]
+        if start > 0:  # so a batch at the head of its stream keeps existing file names
+            ingredients.append(f"start={int(start)}")
+        return hashlib.sha256("|".join(ingredients).encode()).hexdigest()[:24]
 
     def path_for(
         self,
@@ -118,9 +120,10 @@ class ObservationCache:
         base_seed: int,
         *,
         label: str | None = None,
+        start: int = 0,
     ) -> Path:
-        """Cache file a campaign with these parameters lives at."""
-        digest = self.key(algorithm, n_runs, base_seed, label=label)
+        """Cache file a batch with these parameters lives at."""
+        digest = self.key(algorithm, n_runs, base_seed, label=label, start=start)
         return self.directory / f"{_FILE_PREFIX}-{digest}.json"
 
     # -- persistence hooks ---------------------------------------------

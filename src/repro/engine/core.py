@@ -5,10 +5,11 @@ Three operations cover every way this package launches runs:
 * :func:`iter_batch` — the incremental interface: run ``n_runs`` independent
   runs and yield ``(index, result)`` pairs *as runs finish*, on any backend.
   Completion order is backend-dependent, but the set of runs is not: seeds
-  are derived up front from ``(base_seed, n_runs)`` alone, so the yielded
-  indices always form a permutation of ``range(n_runs)`` and reassembling
-  results by index gives bit-identical observations on every backend at any
-  worker count.  Closing the iterator early cancels outstanding runs.
+  are derived up front from ``(base_seed, start, n_runs)`` alone, so the
+  yielded indices always form a permutation of ``range(start, start +
+  n_runs)`` and reassembling results by index gives bit-identical
+  observations on every backend at any worker count.  Closing the iterator
+  early cancels outstanding runs.
 * :func:`collect_batch` — run ``n_runs`` independent runs and assemble a
   :class:`RuntimeObservations` batch.  Implemented on top of
   :func:`iter_batch` (reassembly by index), so the batch inherits the
@@ -127,11 +128,10 @@ def iter_runs(
     """Run ``algorithm`` once per seed, yielding ``(index, result)`` as runs finish.
 
     The low-level streaming primitive beneath :func:`iter_batch`: callers
-    that derive their own seed streams (the adaptive campaign controller's
-    kill-and-reseed rounds) pass explicit seeds and, optionally, the stable
-    ``indices`` the results should be attributed to (default: positions in
-    ``seeds``).  Completion order is backend-dependent; the index carried
-    with each result is not.  Closing the iterator early cancels
+    that derive their own seed streams pass explicit seeds and, optionally,
+    the stable ``indices`` the results should be attributed to (default:
+    positions in ``seeds``).  Completion order is backend-dependent; the
+    index carried with each result is not.  Closing the iterator early cancels
     outstanding runs (best effort, see the backends).
     """
     seeds = list(seeds)
@@ -161,26 +161,31 @@ def iter_batch(
     n_runs: int,
     *,
     base_seed: int = 0,
+    start: int = 0,
     backend: str | BatchExecutor | None = None,
     workers: int | None = None,
     chunksize: int | None = None,
 ) -> Iterator[tuple[int, RunResult]]:
     """Incrementally run a batch, yielding ``(index, result)`` as runs finish.
 
-    The streaming face of :func:`collect_batch`: same deterministic seed
-    derivation (``spawn_seeds(base_seed, n_runs)``), same backends, but
-    observations are surfaced the moment their run completes instead of
-    after the whole batch.  The yielded indices form a permutation of
-    ``range(n_runs)``; reassembling results by index reproduces
-    :func:`collect_batch` bit for bit on every backend.  Consumers acting
-    on the stream (online fitting, adaptive scheduling) therefore observe
-    *when* runs finish without ever influencing *what* the runs are.
+    The streaming face of :func:`collect_batch`: same seeds (derived here
+    only: ``spawn_seeds(base_seed, start + n_runs)[start:]``), same
+    backends, but observations are surfaced the moment their run completes
+    instead of after the whole batch.  The yielded indices form a
+    permutation of ``range(start, start + n_runs)``; reassembling results
+    by index reproduces :func:`collect_batch` bit for bit on every backend.
+    Consumers acting on the stream (online fitting, adaptive scheduling)
+    therefore observe *when* runs finish without ever influencing *what*
+    the runs are.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     yield from iter_runs(
         algorithm,
-        spawn_seeds(base_seed, n_runs),
+        spawn_seeds(base_seed, start + n_runs)[start:],
+        indices=range(start, start + n_runs),
         backend=backend,
         workers=workers,
         chunksize=chunksize,
@@ -192,6 +197,7 @@ def collect_batch(
     n_runs: int,
     *,
     base_seed: int = 0,
+    start: int = 0,
     label: str | None = None,
     backend: str | BatchExecutor | None = None,
     workers: int | None = None,
@@ -208,7 +214,11 @@ def collect_batch(
         Number of independent runs (the paper collects ~650 per benchmark).
     base_seed:
         Root of the deterministic seed tree; the only input (besides
-        ``n_runs``) that influences which runs are executed.
+        ``n_runs`` and ``start``) that influences which runs are executed.
+    start:
+        Where the batch starts in the seed stream: a batch at ``start=k``
+        equals the last ``n_runs`` runs of a batch of ``k + n_runs``.
+        Progress events count along the stream, from ``start``.
     label:
         Batch label; defaults to ``algorithm.describe()``.
     backend, workers:
@@ -216,13 +226,16 @@ def collect_batch(
         or a configured :class:`BatchExecutor` instance.
     progress:
         Optional callback receiving a :class:`BatchProgress` event per
-        completed run, in completion order.
+        completed run, in completion order (a cache hit emits one event,
+        for the last run).
     cache:
         Optional :class:`ObservationCache` (or a directory path, which
         creates one) consulted before running and updated afterwards.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     batch_label = label or algorithm.describe()
     # Validate the backend before consulting the cache so that invalid
     # backend/workers arguments fail identically on warm and cold caches
@@ -236,7 +249,9 @@ def collect_batch(
         # algorithm whose attributes mutate during run() would otherwise be
         # stored under a post-run fingerprint that no fresh process (probing
         # with a pristine object) could ever look up.
-        cache_path = cache.path_for(algorithm, n_runs, base_seed, label=batch_label)
+        cache_path = cache.path_for(
+            algorithm, n_runs, base_seed, label=batch_label, start=start
+        )
         load_start = time.perf_counter()
         cached = cache.read_batch(cache_path)
         if cached is not None:
@@ -251,9 +266,9 @@ def collect_batch(
                 )
                 progress(
                     BatchProgress(
-                        index=cached.n_runs - 1,
-                        completed=cached.n_runs,
-                        total=cached.n_runs,
+                        index=start + n_runs - 1,
+                        completed=start + n_runs,
+                        total=start + n_runs,
                         result=last,
                         elapsed_seconds=time.perf_counter() - load_start,
                     )
@@ -261,21 +276,21 @@ def collect_batch(
             return cached
 
     results: list[RunResult | None] = [None] * n_runs
-    start = time.perf_counter()
+    started = time.perf_counter()
     completed = 0
     for index, result in iter_batch(
-        algorithm, n_runs, base_seed=base_seed, backend=backend, workers=workers
+        algorithm, n_runs, base_seed=base_seed, start=start, backend=backend, workers=workers
     ):
-        results[index] = result
+        results[index - start] = result
         completed += 1
         if progress is not None:
             progress(
                 BatchProgress(
                     index=index,
-                    completed=completed,
-                    total=n_runs,
+                    completed=start + completed,
+                    total=start + n_runs,
                     result=result,
-                    elapsed_seconds=time.perf_counter() - start,
+                    elapsed_seconds=time.perf_counter() - started,
                 )
             )
     assert completed == n_runs  # every backend must deliver every run

@@ -59,9 +59,10 @@ between batches.  Both pipes ship pickles, so — exactly like
 :mod:`multiprocessing` — they assume a trusted cluster.
 
 Workers run units through the existing per-host backends (``serial``,
-``thread`` or ``process``) and, when given a shared ``cache_dir``, read and
-write a content-addressed unit-result cache under ``<cache_dir>/units/`` so
-repeated or re-issued units are free across the fleet.
+``thread`` or ``process``) and keep no results of their own: caching lives
+at the coordinator, whose content-addressed observation cache
+(:func:`repro.engine.collect_batch`) answers a repeated batch before any
+unit is issued.
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ def _parse_address(address: str) -> tuple[str, int]:
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write via a uniquely-named sibling + ``os.replace``.
 
-    Readers polling ``path`` (``meta.json``, cache probes) never observe a
-    partial file, and the uuid component keeps temp names collision-free
-    across hosts sharing a filesystem (PIDs alone collide).
+    Workers polling ``meta.json`` never observe a partial file, and the
+    uuid component keeps temp names collision-free across hosts sharing a
+    filesystem (PIDs alone collide).
     """
     tmp = path.with_suffix(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
     tmp.write_bytes(data)
@@ -373,12 +374,6 @@ class UnitLedger:
             self.reissues += 1
             return True
 
-    def release_owner(self, owner: str) -> int:
-        """Requeue every unit currently checked out (only) to ``owner``."""
-        with self._lock:
-            held = [uid for uid, owners in self._outstanding.items() if owner in owners]
-        return sum(self.requeue(uid, owner) for uid in held)
-
     def touch(self, owner: str) -> int:
         """Refresh the lease of every unit ``owner`` holds (worker heartbeat).
 
@@ -439,7 +434,7 @@ class UnitLedger:
 
 
 # ----------------------------------------------------------------------
-# Worker-side execution (deterministic in-unit ordering + shared cache)
+# Worker-side execution (deterministic in-unit ordering)
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class _PositionedCall:
@@ -470,32 +465,6 @@ def execute_unit(unit: WorkUnit, executor: BatchExecutor | None = None) -> UnitR
     for position, value in executor.imap_unordered(_execute_positioned, calls):
         values[position] = value
     return UnitResult(unit_id=unit.unit_id, values=tuple(values))
-
-
-def _unit_cache_path(cache_dir: str | Path, unit: WorkUnit) -> Path:
-    return Path(cache_dir) / "units" / f"unit-{unit.fingerprint()}.pkl"
-
-
-def _execute_unit_cached(
-    unit: WorkUnit,
-    executor: BatchExecutor | None,
-    cache_dir: str | Path | None,
-    stats: "WorkerStats",
-) -> UnitResult:
-    """Execute a unit, consulting the shared unit-result cache when present."""
-    path = _unit_cache_path(cache_dir, unit) if cache_dir is not None else None
-    if path is not None and path.exists():
-        values = pickle.loads(path.read_bytes())
-        stats.cache_hits += 1
-        result = UnitResult(unit_id=unit.unit_id, values=tuple(values))
-    else:
-        result = execute_unit(unit, executor)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write_bytes(path, pickle.dumps(list(result.values)))
-    stats.units_completed += 1
-    stats.runs_completed += len(result.values)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -907,16 +876,11 @@ class DistributedBackend(BatchExecutor):
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class WorkerStats:
-    """What one worker session accomplished (printed by the CLI on exit).
-
-    ``units_completed``/``runs_completed`` count every unit resolved and
-    submitted, including those served from the shared unit cache;
-    ``cache_hits`` is the subset that skipped execution.
-    """
+    """What one worker session accomplished (printed by the CLI on exit):
+    the units it executed and submitted, and the runs they held."""
 
     units_completed: int = 0
     runs_completed: int = 0
-    cache_hits: int = 0
 
 
 def run_worker(
@@ -924,7 +888,6 @@ def run_worker(
     coordinator: str | None = None,
     job_dir: str | Path | None = None,
     executor: BatchExecutor | None = None,
-    cache_dir: str | Path | None = None,
     poll_interval: float = 0.2,
     connect_timeout: float = 30.0,
     max_units: int | None = None,
@@ -944,9 +907,6 @@ def run_worker(
         Must be a per-host backend, not another :class:`DistributedBackend`.
         A :class:`ProcessBackend` starts its spawn pool on the first unit
         and keeps it warm for later ones; the caller closes it.
-    cache_dir:
-        Shared observation-cache directory; unit results are read/written
-        under ``<cache_dir>/units/`` so re-issued or repeated units are free.
     poll_interval:
         Sleep after an ``idle`` reply before the next ``request``; in a job
         directory also the longest wait between two reads of the reply file.
@@ -1022,8 +982,7 @@ def run_worker(
             raise ProtocolError(reply.get("reason", "coordinator rejected the handshake"))
         if reply.get("type") != "welcome":
             raise ProtocolError(f"unexpected handshake reply: {reply!r}")
-        completed = 0
-        while max_units is None or completed < max_units:
+        while max_units is None or stats.units_completed < max_units:
             send({"type": "request"})
             message = _recv(pipe)
             if message is None:
@@ -1036,7 +995,7 @@ def run_worker(
             unit: WorkUnit = _decode(message["payload"])
             executing.set()
             try:
-                result = _execute_unit_cached(unit, executor, cache_dir, stats)
+                result = execute_unit(unit, executor)
             except Exception as exc:
                 # A crashing payload must not kill the worker: report the
                 # failure so the coordinator can retry elsewhere (and give
@@ -1046,7 +1005,8 @@ def run_worker(
             finally:
                 executing.clear()
             send({"type": "result", "unit_id": result.unit_id, "payload": _encode(result)})
-            completed += 1
+            stats.units_completed += 1
+            stats.runs_completed += len(result.values)
     except (BrokenPipeError, ConnectionResetError):
         pass  # coordinator died mid-session; our units will be re-issued
     finally:

@@ -10,8 +10,6 @@ serial, threaded and process execution run byte-for-byte the same code path.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import pickle
 from typing import Any, Callable, Sequence
 
 from repro.solvers.base import LasVegasAlgorithm, RunResult
@@ -99,16 +97,6 @@ class WorkUnit:
     fn: Callable[[Any], Any]
     payloads: tuple
 
-    def fingerprint(self) -> str:
-        """Content digest of the unit's work (id-independent).
-
-        Two units running the same function over the same payloads share a
-        fingerprint no matter which campaign, batch or coordinator produced
-        them — the key workers use for the shared unit-result cache.
-        """
-        content = (self.fn.__module__, self.fn.__qualname__, self.payloads)
-        return hashlib.sha256(pickle.dumps(content)).hexdigest()[:24]
-
 
 @dataclasses.dataclass(frozen=True)
 class UnitResult:
@@ -117,7 +105,7 @@ class UnitResult:
     ``values`` holds ``fn(payload)`` for every payload of the unit **in
     payload order**, regardless of the order the worker's local backend
     completed them — that is what makes unit results byte-identical across
-    worker backends and eligible for content-addressed caching.
+    worker backends.
     """
 
     unit_id: str

@@ -19,7 +19,7 @@ provided:
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.experiments.instances import BENCHMARK_KEYS, SAT_FAMILIES, InstanceMix
 from repro.sat.dimacs import DEFAULT_INSTANCE, bundled_instance_path
@@ -28,6 +28,7 @@ from repro.solvers.policies import validate_policy
 __all__ = [
     "BENCHMARK_KEYS",
     "ExperimentConfig",
+    "PROFILES",
     "SAT_FAMILIES",
     "SAT_KEY",
 ]
@@ -248,3 +249,13 @@ class ExperimentConfig:
     def paper_shift_rule(self, key: str) -> str:
         """Shift rule the paper uses for benchmark ``key``."""
         return self.PAPER_SHIFT_RULES[key]
+
+
+#: Every named profile, smallest first: the CLI's ``--profile`` choices and
+#: the service's ``profile`` field both read this one table.
+PROFILES: Mapping[str, Callable[[], ExperimentConfig]] = {
+    "tiny": ExperimentConfig.tiny,
+    "quick": ExperimentConfig.quick,
+    "medium": ExperimentConfig.medium,
+    "full": ExperimentConfig.full,
+}

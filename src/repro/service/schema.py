@@ -19,7 +19,7 @@ import re
 from typing import Any, Mapping
 
 from repro.campaign import CONTROLLER_NAMES, StageSpec, select_stages
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PROFILES, ExperimentConfig
 from repro.experiments.stages import campaign_stages
 
 __all__ = [
@@ -41,14 +41,6 @@ _NON_CONFIG_FIELDS = frozenset({"PAPER_FAMILIES", "PAPER_SHIFT_RULES"})
 
 #: Config fields serialised as JSON arrays and restored as tuples.
 _TUPLE_FIELDS = frozenset({"cores", "extended_cores"})
-
-_PROFILES: Mapping[str, Any] = {
-    "tiny": ExperimentConfig.tiny,
-    "quick": ExperimentConfig.quick,
-    "medium": ExperimentConfig.medium,
-    "full": ExperimentConfig.full,
-}
-
 
 def _config_field_names() -> list[str]:
     return [
@@ -76,9 +68,9 @@ def config_from_dict(
     Unknown keys and unknown profiles raise :class:`ValueError` (the
     config's own ``__post_init__`` validates the values themselves).
     """
-    if profile not in _PROFILES:
-        raise ValueError(f"unknown profile {profile!r} (profiles: {', '.join(_PROFILES)})")
-    base = _PROFILES[profile]()
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r} (profiles: {', '.join(PROFILES)})")
+    base = PROFILES[profile]()
     if not payload:
         return base
     known = set(_config_field_names())

@@ -100,9 +100,19 @@ class _Handler(BaseHTTPRequestHandler):
         return False
 
     def _read_body(self) -> bytes | None:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        # A missing Content-Length means an empty body.  An error reply
+        # closes the connection: the unread body must not parse as a request.
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        close = {"Connection": "close"}
+        if length < 0:
+            self._error(400, f"invalid Content-Length {header!r}", headers=close)
+            return None
         if length > _MAX_BODY:
-            self._error(413, f"request body exceeds {_MAX_BODY} bytes")
+            self._error(413, f"request body exceeds {_MAX_BODY} bytes", headers=close)
             return None
         return self.rfile.read(length)
 

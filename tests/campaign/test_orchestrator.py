@@ -199,23 +199,42 @@ class TestAdaptiveOrchestration:
             r.as_dict() | {"runtime_seconds": 0.0} for r in b.stream
         ]
 
-    def test_probe_round_is_cached_and_later_rounds_rerun(self, tmp_path, solver_runs):
+    def test_every_round_is_cached(self, tmp_path, solver_runs):
         stage = _stage(quota=8, budget=100, scale=300.0, base_seed=3)
-        first = run_campaign([stage], controller="adaptive", cache=tmp_path)
-        first_runs = len(solver_runs)
-        probe = next(d for d in first.decision_dicts() if d["kind"] == "round")
-        probe_runs = probe["detail"]["n_runs"]
-        assert first_runs == first.stage("S").n_issued > probe_runs
-        assert len(list(tmp_path.glob("observations-*.json"))) == 1
+        cache = tmp_path / "cache"
+        first = run_campaign([stage], controller="adaptive", cache=cache)
+        rounds = [d for d in first.decision_dicts() if d["kind"] == "round"]
+        assert len(rounds) > 1  # probe plus later, stream-extending rounds
+        assert len(solver_runs) == first.stage("S").n_issued
+        files = sorted(cache.glob("observations-*.json"))
+        assert len(files) == len(rounds)  # one file per round decision
         solver_runs.clear()
-        second = run_campaign([stage], controller="adaptive", cache=tmp_path)
-        # Only the probe round starts the seed stream, so only it is cached.
-        assert len(solver_runs) == first_runs - probe_runs
-        assert len(list(tmp_path.glob("observations-*.json"))) == 1
+        second = run_campaign([stage], controller="adaptive", cache=cache)
+        assert solver_runs == []  # every round was a cache hit
+        assert sorted(cache.glob("observations-*.json")) == files
         assert second.decision_dicts() == first.decision_dicts()
-        assert [r.as_dict() | {"runtime_seconds": 0.0} for r in second.stage("S").stream] == [
-            r.as_dict() | {"runtime_seconds": 0.0} for r in first.stage("S").stream
+        # runtime_seconds included: the stream is the cached batches'.
+        assert [r.as_dict() for r in second.stage("S").stream] == [
+            r.as_dict() for r in first.stage("S").stream
         ]
+        first.save(tmp_path / "first.json")
+        second.save(tmp_path / "second.json")
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    def test_later_round_progress_counts_along_the_stream(self, tmp_path):
+        stage = _stage(quota=8, budget=100, scale=300.0, base_seed=3)
+        cold, warm = [], []
+        report = run_campaign([stage], controller="adaptive", cache=tmp_path, progress=cold.append)
+        run_campaign([stage], controller="adaptive", cache=tmp_path, progress=warm.append)
+        rounds = [d["detail"] for d in report.decision_dicts() if d["kind"] == "round"]
+        ends, issued = [], 0
+        for detail in rounds:
+            issued += detail["n_runs"]
+            ends.append(issued)
+        assert sorted(e.index for e in cold) == list(range(issued))
+        assert [e.total for e in cold if e.completed == e.total] == ends
+        # A warm round emits one event, for its last run in the stream.
+        assert [(e.index, e.completed, e.total) for e in warm] == [(n - 1, n, n) for n in ends]
 
     def test_controller_instance_passthrough(self):
         stage = _stage(quota=6, budget=400)

@@ -1,5 +1,6 @@
 """On-disk observation cache (repro.engine.cache)."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,42 @@ class TestObservationCache:
         assert len(events) == 1
         assert events[0].completed == events[0].total == 5
         assert events[0].fraction == 1.0
+
+    def test_batch_at_start_is_the_tail_of_a_longer_batch(self, tmp_path):
+        whole = collect_batch(CountingAlgorithm(), 9, base_seed=5)
+        tail = collect_batch(CountingAlgorithm(), 4, base_seed=5, start=5, cache=tmp_path)
+        np.testing.assert_array_equal(tail.seeds, whole.seeds[5:])
+        np.testing.assert_array_equal(tail.iterations, whole.iterations[5:])
+        np.testing.assert_array_equal(tail.solved, whole.solved[5:])
+        # ... and it is cached under its own key, apart from a batch of 4 at start 0.
+        head = collect_batch(CountingAlgorithm(), 4, base_seed=5, cache=tmp_path)
+        np.testing.assert_array_equal(head.seeds, whole.seeds[:4])
+        assert len(list(tmp_path.glob("observations-*.json"))) == 2
+
+    def test_start_zero_keeps_the_existing_file_name(self, tmp_path):
+        cache = ObservationCache(tmp_path)
+        algo = CountingAlgorithm()
+        ingredients = f"{algorithm_fingerprint(algo)}|lbl|n_runs=10|base_seed=1"
+        digest = hashlib.sha256(ingredients.encode()).hexdigest()[:24]
+        expected = tmp_path / f"observations-{digest}.json"
+        assert cache.path_for(algo, 10, 1, label="lbl", start=0) == expected
+        assert cache.path_for(algo, 10, 1, label="lbl") == expected
+        assert cache.path_for(algo, 10, 1, label="lbl", start=3) != expected
+
+    def test_negative_start_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="start"):
+            collect_batch(CountingAlgorithm(), 5, base_seed=1, start=-1, cache=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_hit_at_start_counts_along_the_stream(self, tmp_path):
+        collect_batch(CountingAlgorithm(), 5, base_seed=1, start=7, cache=tmp_path)
+        events = []
+        fresh = CountingAlgorithm()
+        collect_batch(fresh, 5, base_seed=1, start=7, cache=tmp_path, progress=events.append)
+        assert fresh.calls == 0
+        assert len(events) == 1
+        assert events[0].index == 11
+        assert events[0].completed == events[0].total == 12
 
     def test_invalid_backend_rejected_even_on_warm_cache(self, tmp_path):
         """Backend validation must not depend on cache warmth."""

@@ -477,7 +477,7 @@ class TestFailingUnits:
         assert ledger.complete(execute_unit(unit))
         assert not ledger.complete(execute_unit(stolen))
         # The slow worker dying afterwards must not resurrect the unit.
-        assert ledger.release_owner("slow-worker") == 0
+        assert ledger.requeue(unit.unit_id, "slow-worker") is False
         assert ledger.done
 
 
@@ -553,12 +553,14 @@ class TestUnitLedger:
         assert not ledger.complete(execute_unit(unit))
         assert ledger.results.qsize() == 1
 
-    def test_release_owner_requeues_only_that_workers_units(self):
+    def test_requeue_by_owner_requeues_only_that_workers_units(self):
         ledger = UnitLedger(self._units())
         mine = ledger.checkout("alive")
         lost_a = ledger.checkout("dead")
         lost_b = ledger.checkout("dead")
-        assert ledger.release_owner("dead") == 2
+        assert ledger.requeue(lost_a.unit_id, "dead") is True
+        assert ledger.requeue(lost_b.unit_id, "dead") is True
+        assert ledger.requeue(mine.unit_id, "dead") is False  # not the holder
         assert ledger.reissues == 2
         reissued = {ledger.checkout("alive").unit_id for _ in range(3)}
         assert {lost_a.unit_id, lost_b.unit_id} <= reissued
@@ -569,7 +571,7 @@ class TestUnitLedger:
         unit = ledger.checkout("w")
         ledger.complete(execute_unit(unit))
         assert not ledger.requeue(unit.unit_id)
-        assert ledger.release_owner("w") == 0
+        assert ledger.requeue(unit.unit_id, "w") is False
 
     def test_cancel_stops_issuing_and_accepting(self):
         ledger = UnitLedger(self._units())
@@ -579,20 +581,22 @@ class TestUnitLedger:
         assert not ledger.complete(execute_unit(unit))
 
 
-class TestUnitCache:
-    def test_workers_reuse_unit_results_across_batches(self, transport, tmp_path):
+class TestCoordinatorCache:
+    def test_repeat_batch_issues_no_units(self, transport, tmp_path):
         cache_dir = tmp_path / "cache"
         backend = _make_backend(transport, tmp_path)
-        workers = _spawn_workers(1, cache_dir=cache_dir, **_worker_target(backend))
-        first = collect_batch(SyntheticAlgorithm(), 12, base_seed=6, backend=backend)
-        again = collect_batch(SyntheticAlgorithm(), 12, base_seed=6, backend=backend)
+        workers = _spawn_workers(1, **_worker_target(backend))
+        batch = dict(base_seed=6, backend=backend, cache=cache_dir)
+        first = collect_batch(SyntheticAlgorithm(), 12, **batch)
+        again = collect_batch(SyntheticAlgorithm(), 12, **batch)
         backend.shutdown()
         _join_workers(workers)
         np.testing.assert_array_equal(first.iterations, again.iterations)
         stats = workers[0].stats
-        assert stats.units_completed == 6  # both batches were served in full
-        assert stats.cache_hits == 3  # ...but the repeat batch came from cache
-        assert len(list((cache_dir / "units").glob("unit-*.pkl"))) == 3
+        assert stats.units_completed == 3  # only the first batch reached the fleet
+        assert stats.runs_completed == 12
+        assert len(list(cache_dir.glob("observations-*.json"))) == 1
+        assert not list(tmp_path.rglob("units"))  # workers keep no cache of their own
 
 
 class TestBackendConfiguration:
@@ -623,12 +627,6 @@ class TestBackendConfiguration:
         units = shard_units(execute_run, list(range(10)), task_id="t", unit_size=4)
         assert [u.payloads for u in units] == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
         assert [u.unit_id for u in units] == ["t/0", "t/1", "t/2"]
-
-    def test_unit_fingerprint_is_content_addressed(self):
-        a, b = shard_units(execute_run, list(range(8)), task_id="a", unit_size=4)
-        (a2,) = shard_units(execute_run, list(range(4)), task_id="z", unit_size=4)
-        assert a.fingerprint() == a2.fingerprint()  # same work, different task ids
-        assert a.fingerprint() != b.fingerprint()  # different payloads
 
     def test_batch_timeout_raises_without_workers(self):
         backend = DistributedBackend(coordinator="127.0.0.1:0", batch_timeout=0.3)

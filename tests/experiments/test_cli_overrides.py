@@ -180,8 +180,11 @@ class TestDistributedCliFlags:
         assert args.connect == "127.0.0.1:7821"
         assert args.job_dir is None
         assert args.backend == "serial"
-        assert args.cache_dir is None
         assert args.connect_timeout == 30.0
+        # Workers keep no cache: caching lives at the coordinator.
+        assert not hasattr(args, "cache_dir")
+        with pytest.raises(SystemExit):
+            parse(["worker", "--connect", "127.0.0.1:7821", "--cache", "shared"])
 
     def test_worker_command_requires_one_transport(self, capsys):
         from repro.cli import main

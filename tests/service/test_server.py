@@ -6,6 +6,7 @@ service-smoke lane uses — with tiny single-stage campaigns so the whole
 module stays fast.
 """
 
+import socket
 import threading
 
 import numpy as np
@@ -134,6 +135,27 @@ class TestSubmitAndReport:
             client.submit({"profile": "huge"})
         assert exc.value.status == 400
         assert "unknown profile" in exc.value.detail
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400(self, service, length):
+        server, client, _ = service
+        host, _, port = server.address.rpartition(":")
+        request = (
+            "POST /v1/campaigns HTTP/1.1\r\n"
+            f"Host: {server.address}\r\n"
+            "Authorization: Bearer api-secret\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection((host, int(port)), timeout=1.0) as conn:
+            conn.sendall(request.encode())
+            reply = b""
+            while b"\r\n\r\n" not in reply:  # socket.timeout fails the test
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert client.list_jobs() == []  # nothing was submitted
 
     def test_unknown_job_is_404(self, service):
         server, client, _ = service
@@ -307,6 +329,20 @@ class TestCacheIntegration:
             r1.stage("SAT").observations().iterations,
             r2.stage("SAT").observations().iterations,
         )
+
+    def test_adaptive_resubmission_runs_every_round_from_the_store(self, service):
+        server, client, store = service
+        adaptive = {**TINY_SAT, "controller": "adaptive"}
+        first = client.submit(adaptive)
+        client.wait(first, timeout=120.0)
+        rounds = sum(1 for d in client.report(first).decisions if d.kind == "round")
+        assert rounds > 1
+        assert store.stats()["stores"] == rounds  # one object per round
+        second = client.submit(adaptive)
+        client.wait(second, timeout=60.0)
+        assert store.stats()["stores"] == rounds
+        assert store.stats()["hits"] >= rounds
+        assert client.report(second).as_dict() == client.report(first).as_dict()
 
     def test_second_tenant_served_cross_tenant(self, service):
         server, client, store = service
