@@ -10,8 +10,9 @@ discussion in Section 7):
 * lognormal                -> fast initial growth, then saturation;
 * Pareto (heavy tail)      -> super-linear speed-up at small core counts.
 
-Also demonstrates defining a custom distribution family and registering it
-with the library.
+Also demonstrates defining a custom distribution family: subclassing
+:class:`~repro.core.distributions.base.RuntimeDistribution` is all it takes
+for the family to get minimum transforms and speed-up curves.
 
 Run with:  python examples/distribution_shapes.py
 """
@@ -29,14 +30,12 @@ from repro.core.distributions import (
     ShiftedExponential,
 )
 from repro.core.distributions.base import RuntimeDistribution
-from repro.core.distributions.registry import register_distribution
 from repro.core.speedup import SpeedupModel
 
 MEAN = 1000.0
 CORES = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
 
-@register_distribution
 class HalfLogisticRuntime(RuntimeDistribution):
     """Half-logistic distribution — a user-defined family.
 

@@ -71,7 +71,6 @@ _EXPORTS = {
     "UniformRuntime": "repro.core.distributions",
     "WeibullRuntime": "repro.core.distributions",
     "collect_batch": "repro.engine",
-    "distribution_registry": "repro.core.distributions",
     "fit_distribution": "repro.core.fitting",
     "predict_speedup_curve": "repro.core.prediction",
     "predict_speedup_from_distribution": "repro.core.prediction",

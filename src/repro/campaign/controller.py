@@ -52,6 +52,7 @@ __all__ = [
     "Controller",
     "Decision",
     "DecisionLog",
+    "HEAVY_TAIL_LOG_SIGMA",
     "OffController",
     "RoundPlan",
     "StageRunRecord",
@@ -61,6 +62,11 @@ __all__ = [
 
 #: Controller names accepted by the orchestrator and the CLI.
 CONTROLLER_NAMES: tuple[str, ...] = ("off", "static", "adaptive")
+
+#: Fitted lognormal ``sigma`` above which a runtime distribution counts as
+#: heavy-tailed: the adaptive controller's default fixed-vs-Luby threshold,
+#: and the rule that makes the recipe profiler fit a lognormal.
+HEAVY_TAIL_LOG_SIGMA: float = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,7 +326,7 @@ class AdaptiveController(Controller):
         max_round_runs: int = 32,
         efficiency_floor: float = 0.5,
         candidate_workers: Sequence[int] = (1, 2, 4, 8),
-        heavy_tail_log_sigma: float = 1.0,
+        heavy_tail_log_sigma: float = HEAVY_TAIL_LOG_SIGMA,
         allocation_min_events: int = 4,
         allocation_sims: int = 16,
         max_issue_factor: int = 8,

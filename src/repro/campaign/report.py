@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.campaign.controller import Decision, StageRunRecord
-from repro.multiwalk.observations import RuntimeObservations
+from repro.multiwalk.observations import RuntimeObservations, atomic_write_bytes
 
 __all__ = ["CampaignReport", "StageReport"]
 
@@ -198,7 +198,7 @@ class CampaignReport:
     def save(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=2) + "\n")
+        atomic_write_bytes(path, (json.dumps(self.as_dict(), indent=2) + "\n").encode("utf-8"))
         return path
 
     @classmethod

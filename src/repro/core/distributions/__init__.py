@@ -30,7 +30,6 @@ from repro.core.distributions.levy import LevyRuntime
 from repro.core.distributions.loglogistic import LogLogisticRuntime
 from repro.core.distributions.lognormal import LogNormalRuntime
 from repro.core.distributions.pareto import ParetoRuntime
-from repro.core.distributions.registry import distribution_registry, get_distribution_class
 from repro.core.distributions.uniform import UniformRuntime
 from repro.core.distributions.weibull import WeibullRuntime
 
@@ -46,6 +45,4 @@ __all__ = [
     "TruncatedGaussian",
     "UniformRuntime",
     "WeibullRuntime",
-    "distribution_registry",
-    "get_distribution_class",
 ]

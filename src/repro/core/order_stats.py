@@ -121,27 +121,13 @@ def expected_minimum_quantile_form(dist: "RuntimeDistribution", n_cores: int) ->
     return value
 
 
-def expected_minimum(dist: "RuntimeDistribution", n_cores: int, *, method: str = "auto") -> float:
+def expected_minimum(dist: "RuntimeDistribution", n_cores: int) -> float:
     """Expected value of the minimum of ``n_cores`` i.i.d. draws from ``dist``.
 
-    Parameters
-    ----------
-    dist:
-        The sequential runtime distribution ``Y``.
-    n_cores:
-        Number of independent walks (cores).
-    method:
-        ``"survival"`` forces the survival-function integral,
-        ``"quantile"`` the inverse-CDF integral, ``"auto"`` (default) tries
-        the survival form and falls back to the quantile form if the
-        quadrature fails to converge.
+    Evaluates the survival-function integral and falls back to the
+    quantile-domain integral when that quadrature fails or does not give a
+    finite value.
     """
-    if method not in {"auto", "survival", "quantile"}:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "quantile":
-        return expected_minimum_quantile_form(dist, n_cores)
-    if method == "survival":
-        return expected_minimum_survival_form(dist, n_cores)
     try:
         value = expected_minimum_survival_form(dist, n_cores)
     except Exception:  # pragma: no cover - defensive fallback

@@ -129,15 +129,8 @@ def predict_speedup_curve(
         fit = fit_distribution(observations, family, shift_rule=shift_rule, shift=shift)
     else:
         fit = select_best_fit(observations, candidates, shift_rule=shift_rule)
-    model = SpeedupModel(fit.distribution)
-    curve = model.curve(cores)
-    return PredictionResult(
-        curve=curve,
-        distribution=fit.distribution,
-        family=fit.family,
-        fit=fit,
-        limit=model.limit(),
-    )
+    result = predict_speedup_from_distribution(fit.distribution, cores)
+    return dataclasses.replace(result, family=fit.family, fit=fit)
 
 
 def predict_speedup_empirical(
@@ -151,13 +144,4 @@ def predict_speedup_empirical(
     observed sample (see
     :meth:`repro.core.distributions.empirical.EmpiricalDistribution.expected_minimum`).
     """
-    distribution = EmpiricalDistribution(observations)
-    model = SpeedupModel(distribution)
-    curve = model.curve(cores)
-    return PredictionResult(
-        curve=curve,
-        distribution=distribution,
-        family=EmpiricalDistribution.name,
-        fit=None,
-        limit=model.limit(),
-    )
+    return predict_speedup_from_distribution(EmpiricalDistribution(observations), cores)

@@ -179,9 +179,8 @@ class ProcessBackend(BatchExecutor):
 
     name = "process"
 
-    def __init__(self, workers: int | None = None, *, start_method: str = "spawn") -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = default_worker_count(workers)
-        self.start_method = start_method
         self._pool = None
         self._in_flight = False
 
@@ -202,7 +201,7 @@ class ProcessBackend(BatchExecutor):
             return
         effective_chunksize = self._chunksize(len(payloads)) if chunksize is None else chunksize
         if self._pool is None:
-            self._pool = mp.get_context(self.start_method).Pool(processes=self.workers)
+            self._pool = mp.get_context("spawn").Pool(processes=self.workers)
         pool = self._pool
         exhausted = False
         self._in_flight = True

@@ -86,6 +86,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.backends import BatchExecutor, SerialBackend
 from repro.engine.tasks import PROTOCOL_VERSION, UnitResult, WorkUnit, shard_units
+from repro.multiwalk.observations import atomic_write_bytes
 
 __all__ = [
     "DistributedBackend",
@@ -135,18 +136,6 @@ def _parse_address(address: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"coordinator address must be HOST:PORT, got {address!r}")
     return host, int(port)
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a uniquely-named sibling + ``os.replace``.
-
-    Workers polling ``meta.json`` never observe a partial file, and the
-    uuid component keeps temp names collision-free across hosts sharing a
-    filesystem (PIDs alone collide).
-    """
-    tmp = path.with_suffix(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def _filename_safe(name: str) -> str:
@@ -507,7 +496,7 @@ class _JobDirListener:
         # Naming the new session ends any earlier one: its workers read EOF
         # and workers waiting in a reused directory join this session.
         meta = {"protocol": PROTOCOL_VERSION, "session": session}
-        _atomic_write_bytes(job_dir / "meta.json", json.dumps(meta).encode("utf-8"))
+        atomic_write_bytes(job_dir / "meta.json", json.dumps(meta).encode("utf-8"))
 
     def accept(self) -> _FilePipe | None:
         for up in sorted(self._session_dir.glob("*/up")):

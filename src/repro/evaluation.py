@@ -42,7 +42,6 @@ __all__ = [
     "EvaluationPath",
     "IncrementalEvaluator",
     "IncrementalState",
-    "LOCKSTEP_PATH",
     "resolve_evaluation_path",
     "supports_lockstep",
     "validate_evaluation_mode",
@@ -51,15 +50,6 @@ __all__ = [
 #: Accepted values of the ``evaluation`` configuration attribute of the
 #: local-search solver configs.
 EVALUATION_MODES: tuple[str, ...] = ("auto", "incremental", "batch")
-
-#: Name of the third evaluation tier: the vectorised lockstep kernel of
-#: :mod:`repro.sat.vectorized`.  It is deliberately *not* a member of
-#: :data:`EVALUATION_MODES` — a per-run ``evaluation`` mode answers "how
-#: does ONE walk evaluate its moves", whereas lockstep batches a whole
-#: *block of walks* into one kernel call, so it lives behind the execution
-#: engine seam instead (``--backend lockstep``, see
-#: :mod:`repro.engine.lockstep`) and is routed by :func:`supports_lockstep`.
-LOCKSTEP_PATH: str = "lockstep"
 
 
 def supports_lockstep(algorithm) -> bool:
@@ -71,6 +61,12 @@ def supports_lockstep(algorithm) -> bool:
     with an SKC-family policy; the Novelty family reports ``False`` and
     stays on the scalar path).  Algorithms without the entry points are
     simply not lockstep-capable; it is not an error.
+
+    Lockstep is deliberately *not* one of :data:`EVALUATION_MODES`: a
+    per-run ``evaluation`` mode answers "how does ONE walk evaluate its
+    moves", whereas lockstep batches a whole block of walks into one kernel
+    call, so it lives behind the execution engine seam instead
+    (``--backend lockstep``, see :mod:`repro.engine.lockstep`).
     """
     probe = getattr(algorithm, "lockstep_supported", None)
     return (

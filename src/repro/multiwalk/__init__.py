@@ -16,15 +16,10 @@ counts for a given base seed.
 """
 
 from repro.multiwalk.observations import RuntimeObservations
-from repro.multiwalk.simulate import (
-    MultiwalkMeasurement,
-    simulate_multiwalk_from_observations,
-    simulate_multiwalk_speedups,
-)
+from repro.multiwalk.simulate import MultiwalkMeasurement, simulate_multiwalk_speedups
 
 __all__ = [
     "MultiwalkMeasurement",
     "RuntimeObservations",
-    "simulate_multiwalk_from_observations",
     "simulate_multiwalk_speedups",
 ]

@@ -21,7 +21,23 @@ import numpy as np
 
 from repro.solvers.base import RunResult
 
-__all__ = ["RuntimeObservations"]
+__all__ = ["RuntimeObservations", "atomic_write_bytes"]
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that no reader ever sees a torn file.
+
+    The bytes go to a uniquely named sibling that then replaces ``path``;
+    the temporary file is removed whether or not the write succeeds.  The
+    uuid component keeps temporary names collision-free across hosts
+    sharing a filesystem (PIDs alone collide).
+    """
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,20 +214,9 @@ class RuntimeObservations:
         )
 
     def save(self, path: str | Path) -> int:
-        """Write the batch to a JSON file; returns the file's size in bytes.
-
-        The bytes go to a uniquely named sibling that then replaces ``path``,
-        so neither a crash mid-write nor a concurrent reader ever sees a torn
-        file.
-        """
-        path = Path(path)
+        """Write the batch to a JSON file atomically; returns its size in bytes."""
         data = json.dumps(self.to_dict()).encode("utf-8")
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write_bytes(Path(path), data)
         return len(data)
 
     @classmethod

@@ -9,14 +9,9 @@ independent sequential observations into blocks of ``k`` and averaging the
 block minima — the documented hardware substitution of this reproduction
 (see DESIGN.md §4).
 
-Two sampling modes are provided:
-
-``mode="blocks"``
-    Partition fresh, disjoint observations into blocks (unbiased, mirrors
-    a real cluster campaign but needs ``k × n_parallel_runs`` observations).
-``mode="resample"``
-    Bootstrap blocks by resampling the observations with replacement
-    (works with any sample size, slight bias for very small samples).
+The blocks are bootstrap blocks: each is ``k`` observations drawn with
+replacement, so any sample size serves any core count (with a slight bias
+for very small samples).
 """
 
 from __future__ import annotations
@@ -28,11 +23,7 @@ import numpy as np
 
 from repro.multiwalk.observations import RuntimeObservations
 
-__all__ = [
-    "MultiwalkMeasurement",
-    "simulate_multiwalk_from_observations",
-    "simulate_multiwalk_speedups",
-]
+__all__ = ["MultiwalkMeasurement", "simulate_multiwalk_speedups"]
 
 #: Core counts reported throughout the paper's evaluation tables.
 PAPER_CORE_COUNTS: tuple[int, ...] = (16, 32, 64, 128, 256)
@@ -64,61 +55,36 @@ class MultiwalkMeasurement:
         return iter(zip(self.cores, self.speedups))
 
 
-def _block_minima_resample(
-    values: np.ndarray, n_cores: int, n_blocks: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Minima of ``n_blocks`` blocks of ``n_cores`` values drawn with replacement."""
-    draws = rng.choice(values, size=(n_blocks, n_cores), replace=True)
-    return draws.min(axis=1)
-
-
-def _block_minima_partition(values: np.ndarray, n_cores: int, rng: np.random.Generator) -> np.ndarray:
-    """Minima of disjoint blocks of a shuffled copy of ``values``.
-
-    Uses as many complete blocks as the sample allows; requires at least one
-    complete block.
-    """
-    if values.size < n_cores:
-        raise ValueError(
-            f"need at least {n_cores} observations for one block, have {values.size}; "
-            "use mode='resample' or collect more runs"
-        )
-    shuffled = rng.permutation(values)
-    n_blocks = shuffled.size // n_cores
-    blocks = shuffled[: n_blocks * n_cores].reshape(n_blocks, n_cores)
-    return blocks.min(axis=1)
-
-
-def simulate_multiwalk_from_observations(
-    values: Sequence[float] | np.ndarray,
+def simulate_multiwalk_speedups(
+    observations: RuntimeObservations | Sequence[float] | np.ndarray,
     cores: Sequence[int] = PAPER_CORE_COUNTS,
     *,
-    n_parallel_runs: int = 50,
-    mode: str = "resample",
-    rng: np.random.Generator | None = None,
-    label: str = "observations",
     measure: str = "iterations",
+    n_parallel_runs: int = 50,
+    rng: np.random.Generator | None = None,
 ) -> MultiwalkMeasurement:
     """Measure multi-walk speed-ups by simulating first-finisher-wins blocks.
 
     Parameters
     ----------
-    values:
-        Sequential cost observations (iteration counts or seconds).
+    observations:
+        A batch of runs (its ``measure`` column is used, and its label is
+        copied into the result) or raw sequential cost values.
     cores:
         Core counts to simulate (defaults to the paper's 16…256).
+    measure:
+        ``"iterations"`` or ``"time"``: which column of a batch to use,
+        recorded in the returned measurement either way.
     n_parallel_runs:
         Number of simulated parallel executions per core count (the paper
-        averages 50 parallel runs); only used in ``resample`` mode — in
-        ``blocks`` mode the sample size dictates the number of blocks.
-    mode:
-        ``"resample"`` (bootstrap blocks) or ``"blocks"`` (disjoint blocks).
+        averages 50 parallel runs).
     rng:
         Random generator (fresh default when omitted).
-    label, measure:
-        Metadata copied into the returned measurement.
     """
-    data = np.asarray(values, dtype=float).ravel()
+    label = "observations"
+    if isinstance(observations, RuntimeObservations):
+        label, observations = observations.label, observations.values(measure)
+    data = np.asarray(observations, dtype=float).ravel()
     if data.size == 0:
         raise ValueError("simulation needs at least one observation")
     core_list = [int(c) for c in cores]
@@ -126,8 +92,6 @@ def simulate_multiwalk_from_observations(
         raise ValueError(f"core counts must be positive integers, got {cores!r}")
     if n_parallel_runs < 1:
         raise ValueError(f"n_parallel_runs must be >= 1, got {n_parallel_runs}")
-    if mode not in {"resample", "blocks"}:
-        raise ValueError(f"unknown mode {mode!r}; use 'resample' or 'blocks'")
     generator = rng if rng is not None else np.random.default_rng()
 
     sequential_mean = float(data.mean())
@@ -138,11 +102,8 @@ def simulate_multiwalk_from_observations(
         # from the same sampling scheme (and sample size) as every other
         # core count, otherwise the 1-core point of a speed-up curve is
         # estimated from a different number of simulated parallel runs.
-        if mode == "resample":
-            minima = _block_minima_resample(data, n_cores, n_parallel_runs, generator)
-        else:
-            minima = _block_minima_partition(data, n_cores, generator)
-        mean_cost = float(minima.mean())
+        draws = generator.choice(data, size=(n_parallel_runs, n_cores), replace=True)
+        mean_cost = float(draws.min(axis=1).mean())
         means.append(mean_cost)
         speedups.append(sequential_mean / mean_cost if mean_cost > 0 else float("inf"))
     return MultiwalkMeasurement(
@@ -153,31 +114,4 @@ def simulate_multiwalk_from_observations(
         speedups=tuple(speedups),
         sequential_mean=sequential_mean,
         n_parallel_runs=n_parallel_runs,
-    )
-
-
-def simulate_multiwalk_speedups(
-    observations: RuntimeObservations | Sequence[float] | np.ndarray,
-    cores: Sequence[int] = PAPER_CORE_COUNTS,
-    *,
-    measure: str = "iterations",
-    n_parallel_runs: int = 50,
-    mode: str = "resample",
-    rng: np.random.Generator | None = None,
-) -> MultiwalkMeasurement:
-    """Convenience wrapper accepting either a batch or raw cost values."""
-    if isinstance(observations, RuntimeObservations):
-        values = observations.values(measure)
-        label = observations.label
-    else:
-        values = np.asarray(observations, dtype=float)
-        label = "observations"
-    return simulate_multiwalk_from_observations(
-        values,
-        cores,
-        n_parallel_runs=n_parallel_runs,
-        mode=mode,
-        rng=rng,
-        label=label,
-        measure=measure,
     )

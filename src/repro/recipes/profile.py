@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.campaign.controller import HEAVY_TAIL_LOG_SIGMA
 from repro.campaign.report import CampaignReport, StageReport
 from repro.experiments.instances import BENCHMARK_KEYS
 from repro.recipes.schema import (
@@ -41,11 +42,6 @@ from repro.recipes.schema import (
 from repro.stats.online import StreamingCensoredExponential, StreamingLognormal
 
 __all__ = ["HEAVY_TAIL_LOG_SIGMA", "ProfileError", "profile_report"]
-
-#: Log-space dispersion above which a stage profiles as lognormal — the
-#: same threshold the adaptive controller uses for its fixed-vs-Luby
-#: restart decision (`AdaptiveController.heavy_tail_log_sigma`).
-HEAVY_TAIL_LOG_SIGMA = 1.0
 
 
 class ProfileError(ValueError):

@@ -40,6 +40,7 @@ from repro.experiments.instances import (
     _require_keys,
 )
 from repro.experiments.stages import STAGE_KINDS
+from repro.multiwalk.observations import atomic_write_bytes
 
 __all__ = [
     "CampaignRecipe",
@@ -308,7 +309,8 @@ class CampaignRecipe:
     def save(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        atomic_write_bytes(path, text.encode("utf-8"))
         return path
 
     @classmethod

@@ -19,7 +19,6 @@ from repro.sat.dimacs import (
 from repro.sat.generators import (
     clause_count_for_ratio,
     random_ksat,
-    random_ksat_at_ratio,
     random_planted_ksat,
 )
 from repro.sat.incremental import (
@@ -47,6 +46,5 @@ __all__ = [
     "clause_count_for_ratio",
     "load_bundled_instance",
     "random_ksat",
-    "random_ksat_at_ratio",
     "random_planted_ksat",
 ]

@@ -1,15 +1,14 @@
 """Random k-SAT instance generators.
 
-Three generators are provided:
+Two generators are provided:
 
 * :func:`random_ksat` — the classical uniform random k-SAT model with a
   chosen clause count (satisfiability not guaranteed; near the phase
   transition, ratio ≈ 4.27 for 3-SAT, runtimes are heavy-tailed).
-* :func:`random_ksat_at_ratio` — the same model parameterised by the
-  clause-to-variable ratio instead of the clause count, the natural knob
-  for phase-transition studies (campaigns at ratios near 4.27 are
-  censoring-heavy: a fraction of instances is unsatisfiable and WalkSAT
-  runs on them always exhaust their budget).
+  :func:`clause_count_for_ratio` turns a clause-to-variable ratio into
+  that count, the natural knob for phase-transition studies (campaigns at
+  ratios near 4.27 are censoring-heavy: a fraction of instances is
+  unsatisfiable and WalkSAT runs on them always exhaust their budget).
 * :func:`random_planted_ksat` — draws a hidden assignment first and only
   keeps clauses satisfied by it, guaranteeing satisfiability so that
   WalkSAT is a genuine Las Vegas algorithm (it terminates with probability
@@ -22,7 +21,7 @@ import numpy as np
 
 from repro.sat.cnf import CNFFormula
 
-__all__ = ["clause_count_for_ratio", "random_ksat", "random_ksat_at_ratio", "random_planted_ksat"]
+__all__ = ["clause_count_for_ratio", "random_ksat", "random_planted_ksat"]
 
 
 def clause_count_for_ratio(n_variables: int, clause_ratio: float) -> int:
@@ -55,26 +54,6 @@ def random_ksat(
     generator = rng if rng is not None else np.random.default_rng()
     clauses = [_random_clause(generator, n_variables, k) for _ in range(n_clauses)]
     return CNFFormula(n_variables, clauses)
-
-
-def random_ksat_at_ratio(
-    n_variables: int,
-    clause_ratio: float,
-    k: int = 3,
-    *,
-    rng: np.random.Generator | None = None,
-) -> CNFFormula:
-    """Uniform random k-SAT at a clause-to-variable ratio (e.g. 4.27 for 3-SAT).
-
-    Satisfiability is *not* guaranteed: near the phase transition roughly
-    half the draws are unsatisfiable, so campaigns on these instances are
-    the natural producers of right-censored runs (every run on an
-    unsatisfiable draw exhausts its flip budget) and must be analysed with
-    the censoring-aware fits of :mod:`repro.core.censoring`.
-    """
-    return random_ksat(
-        n_variables, clause_count_for_ratio(n_variables, clause_ratio), k, rng=rng
-    )
 
 
 def random_planted_ksat(

@@ -3,22 +3,18 @@
 Supports the evaluation section of the paper:
 
 * :mod:`repro.stats.descriptive` — min / mean / median / max summaries
-  (Tables 1 and 2) and dispersion ratios.
-* :mod:`repro.stats.ecdf` — empirical CDF utilities.
+  (Tables 1 and 2) and their max-over-min dispersion.
 * :mod:`repro.stats.histogram` — normalised histograms overlaid with fitted
   densities (Figures 8, 10, 12).
 * :mod:`repro.stats.bootstrap` — bootstrap confidence intervals for means,
   speed-ups and fitted parameters.
-* :mod:`repro.stats.ttt` — time-to-target plots (Aiex/Resende/Ribeiro),
-  the diagnostic the paper cites as evidence for exponential runtimes.
 * :mod:`repro.stats.online` — censoring-aware streaming fitters (Welford
   moments, incremental censored-exponential MLE, running lognormal MLE)
   used by the live campaign controller.
 """
 
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_speedup_ci
-from repro.stats.descriptive import RuntimeSummary, dispersion_ratio, summarize
-from repro.stats.ecdf import empirical_cdf, empirical_cdf_function
+from repro.stats.descriptive import RuntimeSummary, summarize
 from repro.stats.online import (
     StreamingCensoredExponential,
     StreamingLognormal,
@@ -26,7 +22,6 @@ from repro.stats.online import (
     censored_mean_or_none,
 )
 from repro.stats.histogram import HistogramOverlay, density_histogram, histogram_with_fit
-from repro.stats.ttt import TimeToTargetPlot, time_to_target
 
 __all__ = [
     "HistogramOverlay",
@@ -34,15 +29,10 @@ __all__ = [
     "StreamingCensoredExponential",
     "StreamingLognormal",
     "StreamingMoments",
-    "TimeToTargetPlot",
     "bootstrap_ci",
     "bootstrap_speedup_ci",
     "censored_mean_or_none",
     "density_histogram",
-    "dispersion_ratio",
-    "empirical_cdf",
-    "empirical_cdf_function",
     "histogram_with_fit",
     "summarize",
-    "time_to_target",
 ]

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["RuntimeSummary", "dispersion_ratio", "summarize"]
+__all__ = ["RuntimeSummary", "summarize"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,7 +59,3 @@ def summarize(observations: Sequence[float] | np.ndarray) -> RuntimeSummary:
         std=float(data.std(ddof=1)) if data.size > 1 else 0.0,
     )
 
-
-def dispersion_ratio(observations: Sequence[float] | np.ndarray) -> float:
-    """Max-over-min ratio of a batch of observations (paper, Section 5.4)."""
-    return summarize(observations).dispersion()

@@ -38,6 +38,18 @@ class TestConstruction:
         assert dist.support() == (100.0, math.inf)
 
 
+
+class TestDistributionEquality:
+    def test_equality_and_hash(self):
+        a = ShiftedExponential(x0=1.0, lam=2.0)
+        b = ShiftedExponential(x0=1.0, lam=2.0)
+        c = ShiftedExponential(x0=1.0, lam=3.0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != c
+        assert a != "not a distribution"
+
+
 class TestDensityAndCdf:
     def test_pdf_zero_below_shift(self):
         dist = ShiftedExponential(x0=100.0, lam=0.01)

@@ -26,6 +26,27 @@ class TestDispatch:
         with pytest.raises(KeyError):
             estimate_parameters(np.array([1.0, 2.0]), "no-such-family", x0=0.0)
 
+    def test_unknown_family_lists_the_known_ones(self):
+        with pytest.raises(KeyError, match="shifted_exponential"):
+            estimate_parameters(np.array([1.0, 2.0]), "nope", x0=0.0)
+
+    def test_paper_families_are_fittable(self):
+        for name in (
+            "shifted_exponential",
+            "shifted_lognormal",
+            "truncated_gaussian",
+            "shifted_gamma",
+            "shifted_weibull",
+            "pareto",
+            "uniform",
+        ):
+            assert name in ESTIMATORS
+
+    def test_estimators_return_their_family(self):
+        data = np.linspace(10.0, 100.0, 50)
+        for family in ESTIMATORS:
+            assert estimate_parameters(data, family, x0=10.0).name == family
+
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):
             estimate_parameters(np.array([1.0]), "shifted_exponential", x0=0.0)

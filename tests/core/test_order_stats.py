@@ -1,8 +1,10 @@
 """Numerical order-statistic machinery against closed forms and Monte Carlo."""
 
+import math
 
 import pytest
 
+from repro.core import order_stats
 from repro.core.distributions import (
     GammaRuntime,
     LogNormalRuntime,
@@ -35,8 +37,8 @@ class TestExpectedMinimum:
     def test_methods_agree_on_lognormal(self):
         dist = LogNormalRuntime(mu=5.0, sigma=1.3, x0=500.0)
         for n in (2, 32, 256):
-            survival = expected_minimum(dist, n, method="survival")
-            quantile = expected_minimum(dist, n, method="quantile")
+            survival = expected_minimum_survival_form(dist, n)
+            quantile = expected_minimum_quantile_form(dist, n)
             assert survival == pytest.approx(quantile, rel=1e-4)
 
     def test_monte_carlo_agreement_gamma(self, rng):
@@ -55,8 +57,16 @@ class TestExpectedMinimum:
         dist = ShiftedExponential(x0=0.0, lam=1.0)
         with pytest.raises(ValueError):
             expected_minimum(dist, 0)
-        with pytest.raises(ValueError):
-            expected_minimum(dist, 4, method="nonsense")
+
+    def test_uses_the_survival_form(self):
+        dist = GammaRuntime(shape=2.0, scale=50.0, x0=10.0)
+        for n in (1, 8, 64):
+            assert expected_minimum(dist, n) == expected_minimum_survival_form(dist, n)
+
+    def test_falls_back_to_quantile_form_when_survival_is_not_finite(self, monkeypatch):
+        dist = LogNormalRuntime(mu=5.0, sigma=1.3, x0=500.0)
+        monkeypatch.setattr(order_stats, "expected_minimum_survival_form", lambda d, n: math.nan)
+        assert expected_minimum(dist, 32) == expected_minimum_quantile_form(dist, 32)
 
     def test_large_core_count_approaches_support_bound(self):
         dist = LogNormalRuntime(mu=4.0, sigma=1.0, x0=250.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributions import LogNormalRuntime, ShiftedExponential
+from repro.core.distributions.empirical import EmpiricalDistribution
 from repro.core.prediction import (
     PredictionResult,
     predict_speedup_curve,
@@ -64,6 +65,15 @@ class TestPredictFromObservations:
         assert "family" in text
         assert "32" in text
 
+    def test_curve_is_the_prediction_of_the_fitted_distribution(self, rng):
+        data = LogNormalRuntime(mu=6.0, sigma=1.0, x0=0.0).sample(rng, 300)
+        result = predict_speedup_curve(data, cores=[4, 64])
+        direct = predict_speedup_from_distribution(result.distribution, cores=[4, 64])
+        assert result.curve == direct.curve
+        assert result.limit == direct.limit
+        assert result.fit is not None
+        assert result.family == result.fit.family
+
     def test_speedups_property(self, rng):
         data = ShiftedExponential(x0=0.0, lam=0.01).sample(rng, 100)
         result = predict_speedup_curve(data, cores=[8, 32], family="shifted_exponential")
@@ -89,6 +99,14 @@ class TestEmpiricalPrediction:
                                            shift_rule="zero")
         empirical = predict_speedup_empirical(data, cores=[16])
         assert empirical.speedup(16) == pytest.approx(parametric.speedup(16), rel=0.1)
+
+    def test_empirical_is_the_prediction_of_the_sample_distribution(self, rng):
+        data = rng.exponential(20.0, size=150)
+        result = predict_speedup_empirical(data, cores=[2, 8])
+        direct = predict_speedup_from_distribution(EmpiricalDistribution(data), cores=[2, 8])
+        assert result.curve == direct.curve
+        assert result.limit == direct.limit
+        assert result.family == direct.family
 
     def test_empirical_limit_is_mean_over_minimum(self, rng):
         data = np.array([10.0, 30.0, 50.0])

@@ -1,14 +1,17 @@
 """On-disk observation cache (repro.engine.cache)."""
 
+import functools
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.campaign.report import CampaignReport
 from repro.csp.problems import CostasArrayProblem
 from repro.engine.cache import ObservationCache, algorithm_fingerprint
 from repro.engine.core import collect_batch
+from repro.recipes.schema import bundled_recipe_names, load_bundled_recipe
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 
@@ -171,11 +174,22 @@ class TestObservationCache:
         np.testing.assert_array_equal(first.iterations, second.iterations)
         assert len(list(tmp_path.glob("observations-*.json"))) == 1
 
-    def test_interrupted_write_leaves_no_torn_file(self, tmp_path, monkeypatch):
-        """A write that dies halfway must not poison the key for later campaigns."""
-        cache = ObservationCache(tmp_path)
-        batch = collect_batch(CountingAlgorithm(), 10, base_seed=1)
-        path = cache.path_for(CountingAlgorithm(), 10, 1, label=batch.label)
+    @pytest.mark.parametrize("writer", ["observations", "campaign-report", "campaign-recipe"])
+    def test_interrupted_write_leaves_no_torn_file(self, tmp_path, monkeypatch, writer):
+        """A write that dies halfway must not poison the key for later campaigns,
+        nor leave a torn report or recipe that ``--replay`` would reject."""
+        if writer == "observations":
+            cache = ObservationCache(tmp_path)
+            batch = collect_batch(CountingAlgorithm(), 10, base_seed=1)
+            path = cache.path_for(CountingAlgorithm(), 10, 1, label=batch.label)
+            save = functools.partial(cache.write_batch, batch, path)
+        elif writer == "campaign-report":
+            report = CampaignReport(controller="off", controller_params={}, stages=(), decisions=())
+            path = tmp_path / "report.json"
+            save = functools.partial(report.save, path)
+        else:
+            path = tmp_path / "recipe.json"
+            save = functools.partial(load_bundled_recipe(bundled_recipe_names()[0]).save, path)
 
         def write_half_then_fail(target, data, *args, **kwargs):
             with open(target, "wb" if isinstance(data, bytes) else "w") as stream:
@@ -185,8 +199,9 @@ class TestObservationCache:
         monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            cache.write_batch(batch, path)
+            save()
         monkeypatch.undo()
         assert not path.exists()
-        assert cache.read_batch(path) is None
+        if writer == "observations":
+            assert cache.read_batch(path) is None
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind either

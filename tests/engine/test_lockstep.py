@@ -13,7 +13,7 @@ import pytest
 from repro.csp.problems import NQueensProblem
 from repro.engine import LockstepBackend, collect_batch, resolve_backend, run_race
 from repro.engine.tasks import execute_run
-from repro.evaluation import LOCKSTEP_PATH, supports_lockstep
+from repro.evaluation import supports_lockstep
 from repro.sat import random_planted_ksat
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.walksat import WalkSAT, WalkSATConfig
@@ -102,7 +102,6 @@ class TestBackendSurface:
         assert results == [2, 4, 6]
 
     def test_supports_lockstep_probe(self):
-        assert LOCKSTEP_PATH == "lockstep"
         assert supports_lockstep(_sat_solver())
         assert supports_lockstep(_sat_solver(policy="adaptive"))
         assert not supports_lockstep(object())

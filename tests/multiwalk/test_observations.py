@@ -1,9 +1,11 @@
 """RuntimeObservations container."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.multiwalk.observations import RuntimeObservations
+from repro.multiwalk.observations import RuntimeObservations, atomic_write_bytes
 from repro.solvers.base import RunResult
 
 
@@ -114,3 +116,44 @@ class TestPersistence:
         rebuilt = RuntimeObservations.load(path)
         np.testing.assert_array_equal(rebuilt.runtimes, batch.runtimes)
         np.testing.assert_array_equal(rebuilt.seeds, batch.seeds)
+
+
+class TestAtomicWriteBytes:
+    def test_writes_exact_bytes_over_an_existing_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+        atomic_write_bytes(path, b"new \x00 bytes\n")
+        assert path.read_bytes() == b"new \x00 bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_replace_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write_bytes(path, b"new")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_temporary_is_a_unique_sibling(self, tmp_path, monkeypatch):
+        """The rename stays within one directory (one filesystem), and two
+        writers of one path never share a temporary name."""
+        sources = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            sources.append(src)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        path = tmp_path / "out.json"
+        atomic_write_bytes(path, b"a")
+        atomic_write_bytes(path, b"b")
+        assert [src.parent for src in sources] == [tmp_path, tmp_path]
+        assert sources[0] != sources[1]
+        assert path.read_bytes() == b"b"

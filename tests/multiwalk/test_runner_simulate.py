@@ -6,11 +6,7 @@ import pytest
 from repro.core.distributions import ShiftedExponential
 from repro.engine import collect_batch
 from repro.multiwalk.observations import RuntimeObservations
-from repro.multiwalk.simulate import (
-    MultiwalkMeasurement,
-    simulate_multiwalk_from_observations,
-    simulate_multiwalk_speedups,
-)
+from repro.multiwalk.simulate import MultiwalkMeasurement, simulate_multiwalk_speedups
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 
 
@@ -83,7 +79,7 @@ class TestSimulatedMultiwalk:
     def test_linear_speedup_for_exponential_data(self, rng):
         """Exponential runtimes with x0=0 -> measured speed-up ~ number of cores."""
         data = ShiftedExponential(x0=0.0, lam=1e-3).sample(rng, 20000)
-        measurement = simulate_multiwalk_from_observations(
+        measurement = simulate_multiwalk_speedups(
             data, cores=[2, 8, 16], n_parallel_runs=3000, rng=rng
         )
         for n in (2, 8, 16):
@@ -91,33 +87,30 @@ class TestSimulatedMultiwalk:
 
     def test_speedup_bounded_by_mean_over_min(self, rng):
         data = rng.lognormal(5.0, 1.0, 400) + 50.0
-        measurement = simulate_multiwalk_from_observations(data, cores=[4096], rng=rng)
+        measurement = simulate_multiwalk_speedups(data, cores=[4096], rng=rng)
         bound = data.mean() / data.min()
         assert measurement.speedup(4096) <= bound * 1.0001
 
     def test_one_core_speedup_is_one_for_degenerate_data(self, rng):
         """With constant runtimes every resample mean is exact, so S(1) == 1."""
         data = np.full(40, 7.0)
-        for mode in ("resample", "blocks"):
-            measurement = simulate_multiwalk_from_observations(
-                data, cores=[1], mode=mode, rng=rng
-            )
-            assert measurement.speedup(1) == 1.0
+        measurement = simulate_multiwalk_speedups(data, cores=[1], rng=rng)
+        assert measurement.speedup(1) == 1.0
 
     def test_one_core_speedup_is_approximately_one(self, rng):
         data = rng.exponential(10.0, 200)
-        measurement = simulate_multiwalk_from_observations(
+        measurement = simulate_multiwalk_speedups(
             data, cores=[1], n_parallel_runs=2000, rng=rng
         )
         assert measurement.speedup(1) == pytest.approx(1.0, rel=0.1)
 
     def test_one_core_point_honors_sampling_mode(self):
         """The 1-core measurement must use the same sample size as every
-        other core count: `n_parallel_runs` singleton blocks in resample
-        mode, not the raw observations."""
+        other core count: `n_parallel_runs` singleton blocks, not the raw
+        observations."""
         data = np.random.default_rng(7).exponential(10.0, 500)
         n_parallel_runs = 13
-        measurement = simulate_multiwalk_from_observations(
+        measurement = simulate_multiwalk_speedups(
             data,
             cores=[1],
             n_parallel_runs=n_parallel_runs,
@@ -130,44 +123,58 @@ class TestSimulatedMultiwalk:
         # A raw-data mean would be a different sample size (and value) here.
         assert measurement.mean_parallel_cost[0] != pytest.approx(data.mean(), abs=1e-12)
 
-    def test_one_core_blocks_mode_is_internally_consistent(self):
-        """In blocks mode the 1-core blocks are the (shuffled) sample itself,
-        so the measured mean equals the sequential mean exactly."""
-        data = np.random.default_rng(8).exponential(5.0, 64)
-        measurement = simulate_multiwalk_from_observations(
-            data, cores=[1, 4], mode="blocks", rng=np.random.default_rng(0)
-        )
-        assert measurement.mean_parallel_cost[0] == pytest.approx(data.mean())
-        assert measurement.speedup(1) == pytest.approx(1.0)
-        assert measurement.speedup(4) >= measurement.speedup(1)
+    def test_more_cores_than_observations(self, rng):
+        """Bootstrap blocks serve any core count, however small the sample."""
+        data = rng.exponential(1.0, 5)
+        measurement = simulate_multiwalk_speedups(data, cores=[10], rng=rng)
+        assert 1.0 <= measurement.speedup(10) <= data.mean() / data.min()
 
-    def test_blocks_mode_uses_disjoint_blocks(self, rng):
-        data = rng.exponential(10.0, 1000)
-        measurement = simulate_multiwalk_from_observations(
-            data, cores=[10], mode="blocks", rng=rng
+    def test_one_choice_draw_per_core_count_in_order(self):
+        """The draw order is part of the contract: the adaptive controller's
+        allocation decisions replay byte for byte only if it never changes."""
+        data = np.random.default_rng(3).exponential(4.0, 30)
+        cores = [1, 4, 16]
+        measurement = simulate_multiwalk_speedups(
+            data, cores=cores, n_parallel_runs=7, rng=np.random.default_rng(11)
         )
-        assert measurement.speedup(10) > 1.0
+        generator = np.random.default_rng(11)
+        for n, mean_cost in zip(cores, measurement.mean_parallel_cost):
+            draws = generator.choice(data, size=(7, n), replace=True)
+            assert mean_cost == float(draws.min(axis=1).mean())
 
-    def test_blocks_mode_requires_enough_observations(self, rng):
-        with pytest.raises(ValueError):
-            simulate_multiwalk_from_observations(
-                rng.exponential(1.0, 5), cores=[10], mode="blocks", rng=rng
-            )
+    def test_batch_time_measure(self, rng):
+        batch = RuntimeObservations.from_results(
+            "timed",
+            [RunResult(solved=True, iterations=i, runtime_seconds=10.0 * i) for i in range(1, 41)],
+        )
+        by_time = simulate_multiwalk_speedups(
+            batch, cores=[4], measure="time", rng=np.random.default_rng(0)
+        )
+        by_iterations = simulate_multiwalk_speedups(batch, cores=[4], rng=np.random.default_rng(0))
+        assert by_time.measure == "time"
+        assert by_time.label == "timed"
+        assert by_time.sequential_mean == pytest.approx(10.0 * by_iterations.sequential_mean)
+        assert by_time.speedup(4) == pytest.approx(by_iterations.speedup(4))
+
+    def test_controller_calls_the_module_function(self):
+        """The controller imports the simulator by name so it can be wrapped there."""
+        from repro.campaign import controller
+        from repro.multiwalk import simulate
+
+        assert controller.simulate_multiwalk_speedups is simulate.simulate_multiwalk_speedups
 
     def test_argument_validation(self, rng):
         data = rng.exponential(1.0, 10)
         with pytest.raises(ValueError):
-            simulate_multiwalk_from_observations([], cores=[2])
+            simulate_multiwalk_speedups([], cores=[2])
         with pytest.raises(ValueError):
-            simulate_multiwalk_from_observations(data, cores=[0])
+            simulate_multiwalk_speedups(data, cores=[0])
         with pytest.raises(ValueError):
-            simulate_multiwalk_from_observations(data, cores=[2], n_parallel_runs=0)
-        with pytest.raises(ValueError):
-            simulate_multiwalk_from_observations(data, cores=[2], mode="warp")
+            simulate_multiwalk_speedups(data, cores=[2], n_parallel_runs=0)
 
     def test_measurement_record_interface(self, rng):
         data = rng.exponential(1.0, 50)
-        measurement = simulate_multiwalk_from_observations(data, cores=[2, 4], rng=rng)
+        measurement = simulate_multiwalk_speedups(data, cores=[2, 4], rng=rng)
         assert isinstance(measurement, MultiwalkMeasurement)
         assert set(measurement.as_dict()) == {2, 4}
         assert list(measurement)[0][0] == 2
@@ -182,6 +189,6 @@ class TestSimulatedMultiwalk:
 
     def test_reproducible_with_seeded_rng(self, rng):
         data = np.random.default_rng(1).exponential(5.0, 200)
-        a = simulate_multiwalk_from_observations(data, cores=[8], rng=np.random.default_rng(2))
-        b = simulate_multiwalk_from_observations(data, cores=[8], rng=np.random.default_rng(2))
+        a = simulate_multiwalk_speedups(data, cores=[8], rng=np.random.default_rng(2))
+        b = simulate_multiwalk_speedups(data, cores=[8], rng=np.random.default_rng(2))
         assert a.speedups == b.speedups

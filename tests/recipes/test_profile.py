@@ -1,12 +1,14 @@
 """Profiling campaign reports into recipes."""
 
 import dataclasses
+import inspect
 import math
 
 import pytest
 
 from repro.campaign import run_campaign
-from repro.campaign.controller import StageRunRecord
+from repro.campaign.controller import HEAVY_TAIL_LOG_SIGMA as CONTROLLER_THRESHOLD
+from repro.campaign.controller import AdaptiveController, StageRunRecord
 from repro.campaign.report import CampaignReport, StageReport
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.stages import campaign_stages
@@ -68,6 +70,12 @@ class TestFitting:
         assert stage.censoring_rate == 0.5
         assert stage.runtime.n_events == 2
         assert stage.runtime.n_censored == 2
+
+    def test_heavy_tail_threshold_is_the_controllers_default(self):
+        """The profiler and the adaptive controller share one threshold."""
+        default = inspect.signature(AdaptiveController).parameters["heavy_tail_log_sigma"].default
+        assert HEAVY_TAIL_LOG_SIGMA is CONTROLLER_THRESHOLD
+        assert default == CONTROLLER_THRESHOLD
 
     def test_heavy_tail_selects_lognormal(self):
         # Log-values dispersed far beyond the controller's Luby threshold.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sat import CNFFormula, random_ksat_at_ratio, random_planted_ksat
+from repro.sat import CNFFormula, clause_count_for_ratio, random_ksat, random_planted_ksat
 from repro.solvers.policies import (
     POLICIES,
     AdaptiveNoisePolicy,
@@ -75,7 +75,7 @@ def _make_formula(family, n_variables):
     if family == "planted":
         formula, _ = random_planted_ksat(n_variables, int(round(4.2 * n_variables)), rng=rng)
         return formula
-    return random_ksat_at_ratio(n_variables, 4.2, rng=rng)
+    return random_ksat(n_variables, clause_count_for_ratio(n_variables, 4.2), rng=rng)
 
 
 class TestPolicyEvaluationPathEquivalence:

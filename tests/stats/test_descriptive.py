@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.stats.descriptive import RuntimeSummary, dispersion_ratio, summarize
+from repro.stats.descriptive import RuntimeSummary, summarize
 
 
 class TestSummarize:
@@ -41,15 +41,15 @@ class TestSummarize:
 
 class TestDispersion:
     def test_ratio(self):
-        assert dispersion_ratio([2.0, 10.0, 20.0]) == pytest.approx(10.0)
+        assert summarize([2.0, 10.0, 20.0]).dispersion() == pytest.approx(10.0)
 
     def test_infinite_when_minimum_zero(self):
-        assert math.isinf(dispersion_ratio([0.0, 5.0]))
+        assert math.isinf(summarize([0.0, 5.0]).dispersion())
 
     def test_paper_observation_large_dispersion(self, rng):
         """Las Vegas runtimes span orders of magnitude (Section 5.4)."""
         data = rng.exponential(1000.0, size=600) + 1.0
-        assert dispersion_ratio(data) > 100.0
+        assert summarize(data).dispersion() > 100.0
 
     def test_summary_dispersion_consistency(self):
         summary = summarize([5.0, 50.0])

@@ -1,42 +1,10 @@
-"""Empirical CDF and histogram overlays."""
+"""Histogram overlays."""
 
 import numpy as np
 import pytest
 
 from repro.core.distributions import ShiftedExponential
-from repro.stats.ecdf import empirical_cdf, empirical_cdf_function
 from repro.stats.histogram import density_histogram, histogram_with_fit
-
-
-class TestEmpiricalCdf:
-    def test_sorted_values_and_step_heights(self):
-        values, probs = empirical_cdf([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(values, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(probs, [1 / 3, 2 / 3, 1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-        with pytest.raises(ValueError):
-            empirical_cdf_function([])
-
-    def test_cdf_function_evaluation(self):
-        cdf = empirical_cdf_function([1.0, 2.0, 3.0, 4.0])
-        assert cdf(0.0) == 0.0
-        assert cdf(2.5) == 0.5
-        assert cdf(10.0) == 1.0
-        np.testing.assert_allclose(cdf(np.array([1.0, 4.0])), [0.25, 1.0])
-
-    def test_cdf_function_is_right_continuous(self):
-        cdf = empirical_cdf_function([1.0, 1.0, 2.0])
-        assert cdf(1.0) == pytest.approx(2 / 3)
-
-    def test_converges_to_true_cdf(self, rng):
-        dist = ShiftedExponential(x0=0.0, lam=0.1)
-        data = dist.sample(rng, 5000)
-        cdf = empirical_cdf_function(data)
-        grid = np.linspace(1.0, 40.0, 10)
-        np.testing.assert_allclose(cdf(grid), dist.cdf(grid), atol=0.03)
 
 
 class TestHistograms:

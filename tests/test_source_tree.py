@@ -8,12 +8,29 @@ code.  This module keeps that class of rot from coming back:
 * every directory holding Python modules must be a package
   (``__init__.py``) — data-only directories (e.g. the bundled DIMACS
   instances) are exempt;
-* no package may consist of a single zero-byte ``__init__.py``.
+* no package may consist of a single zero-byte ``__init__.py``;
+* every top-level public function or class in ``src/`` is named by some
+  code other than the tests (see :data:`TEST_ONLY_ALLOWLIST`).
 """
 
+import ast
+import tokenize
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: Trees whose code counts as a real caller besides ``src/`` itself.
+_CALLER_TREES = ("benchmarks", "examples", "perfbench")
+
+#: Public definitions that only tests name, each kept on purpose.
+TEST_ONLY_ALLOWLIST = {
+    "AllDifferentConstraint": "part of the CSP model oracle the delta kernels are checked against",
+    "CSPPermutationAdapter": "part of the CSP model oracle the delta kernels are checked against",
+    "RandomizedQuicksort": "a non-CSP Las Vegas algorithm from the paper's future work",
+    "bootstrap_speedup_ci": "the confidence interval the planned per-stage prediction check uses",
+}
 
 #: Cache droppings: never real content, never inspected.
 _IGNORED = {"__pycache__", ".ipynb_checkpoints"}
@@ -62,3 +79,98 @@ def test_no_hollow_packages():
             if (directory / "__init__.py").stat().st_size == 0:
                 hollow.append(str(directory.relative_to(SRC)))
     assert hollow == [], f"hollow packages (only an empty __init__.py): {hollow}"
+
+
+def _python_files(directory: Path, *, skip_init: bool) -> list[Path]:
+    return [
+        path
+        for path in sorted(directory.rglob("*.py"))
+        if not _IGNORED.intersection(path.parts)
+        and not (skip_init and path.name == "__init__.py")
+    ]
+
+
+def _public_definitions(src: Path = SRC) -> dict[str, int]:
+    """Top-level public def/class name -> number of modules defining it.
+
+    ``__init__`` modules only re-export, so neither their definitions nor
+    their names count.
+    """
+    defined: Counter = Counter()
+    for path in _python_files(src, skip_init=True):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] += 1
+    return dict(defined)
+
+
+def _name_token_counts(names, src: Path = SRC, callers=None) -> Counter:
+    """Occurrences of each name as a code token (not in strings or comments)."""
+    files = _python_files(src, skip_init=True)
+    for tree in callers if callers is not None else [ROOT / name for name in _CALLER_TREES]:
+        files += _python_files(tree, skip_init=False)
+    counts: Counter = Counter()
+    for path in files:
+        with path.open("rb") as stream:
+            for token in tokenize.tokenize(stream.readline):
+                if token.type == tokenize.NAME and token.string in names:
+                    counts[token.string] += 1
+    return counts
+
+
+def _test_only_names(src: Path = SRC, callers=None, allowlist=TEST_ONLY_ALLOWLIST) -> list[str]:
+    defined = _public_definitions(src)
+    counts = _name_token_counts(defined, src, callers)
+    # A definition names itself once; anything beyond that is a use.
+    return sorted(
+        name
+        for name, n_definitions in defined.items()
+        if counts[name] <= n_definitions and name not in allowlist
+    )
+
+
+def test_public_definitions_have_non_test_callers():
+    """A public def or class that only tests name is dead code in ``src/``:
+    delete it (with its tests), or allowlist it with a reason."""
+    test_only = _test_only_names()
+    assert test_only == [], f"public definitions no non-test code names: {test_only}"
+
+
+def test_allowlisted_names_still_exist():
+    """An allowlist entry whose definition is gone is stale: drop it."""
+    stale = sorted(set(TEST_ONLY_ALLOWLIST) - set(_public_definitions()))
+    assert stale == [], f"allowlisted names no longer defined in src/: {stale}"
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def test_guard_flags_a_planted_test_only_definition(tmp_path):
+    src = tmp_path / "src"
+    _write(src / "pkg" / "live.py", "def used():\n    return 1\n\n\ndef planted():\n    return 2\n")
+    _write(src / "pkg" / "caller.py", "from pkg.live import used\n\nVALUE = used()\n")
+    _write(tmp_path / "tests" / "test_live.py", "from pkg.live import planted\n\nplanted()\n")
+    assert _test_only_names(src, callers=[], allowlist={}) == ["planted"]
+    assert _test_only_names(src, callers=[], allowlist={"planted": "kept"}) == []
+
+
+def test_guard_ignores_names_in_strings_and_comments(tmp_path):
+    src = tmp_path / "src"
+    _write(src / "pkg" / "mod.py", "def lonely():\n    return 0\n")
+    _write(src / "pkg" / "other.py", '# lonely()\nDOC = "lonely is mentioned here"\n')
+    assert _test_only_names(src, callers=[], allowlist={}) == ["lonely"]
+    example = tmp_path / "examples"
+    _write(example / "demo.py", "from pkg.mod import lonely\n\nlonely()\n")
+    assert _test_only_names(src, callers=[example], allowlist={}) == []
+
+
+def test_guard_skips_private_and_init_definitions(tmp_path):
+    src = tmp_path / "src"
+    _write(src / "pkg" / "__init__.py", "from pkg.mod import exported\n\n\ndef in_init():\n    pass\n")
+    _write(src / "pkg" / "mod.py", "def exported():\n    pass\n\n\ndef _private():\n    pass\n")
+    assert _public_definitions(src) == {"exported": 1}
+    # The re-export in __init__ is not a caller.
+    assert _test_only_names(src, callers=[], allowlist={}) == ["exported"]
