@@ -13,12 +13,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    collect_observations_for,
-    run_experiment,
-)
+from repro.experiments import ExperimentConfig, collect_observations
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.stages import STAGE_KINDS
 
 
@@ -40,16 +36,13 @@ def main() -> None:
 
     start = time.perf_counter()
     campaigns = {
-        kind: collect_observations_for(kind, config, cache_dir=args.cache_dir)
+        kind: collect_observations(kind, config, cache_dir=args.cache_dir)
         for kind in STAGE_KINDS
     }
     print(f"sequential campaigns collected in {time.perf_counter() - start:.1f}s\n")
 
     for name, entry in EXPERIMENTS.items():
-        if entry.observations is not None:
-            result = run_experiment(name, config, observations=campaigns[entry.observations])
-        else:
-            result = run_experiment(name, config)
+        result = run_experiment(name, config, observations=campaigns.get(entry.observations))
         print(result.format())
         print()
 

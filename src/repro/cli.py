@@ -73,16 +73,12 @@ from repro.engine.distributed import DistributedBackend, ProtocolError, run_work
 from repro.engine.lockstep import LockstepBackend
 from repro.engine.progress import BatchProgress
 from repro.experiments.config import PROFILES, SAT_FAMILIES, ExperimentConfig
-from repro.experiments.data import CampaignSummary, observation_cache
+from repro.experiments.data import collect_observations, observation_cache
 from repro.experiments.stages import STAGE_KINDS, campaign_stages, canonical_emit_order
 from repro.sat.dimacs import bundled_instance_names
 from repro.solvers.policies import POLICIES
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    collect_observations_for,
-    list_experiments,
-    run_experiment,
-)
+from repro.experiments.registry import EXPERIMENTS, list_experiments, run_experiment
+from repro.multiwalk.observations import atomic_write_bytes
 
 __all__ = ["build_parser", "main"]
 
@@ -584,16 +580,16 @@ def _engine_backend(args: argparse.Namespace) -> str | BatchExecutor:
 def _engine(args: argparse.Namespace) -> Iterator[dict]:
     """Engine keyword arguments (``backend``, ``workers``) for one command.
 
-    The flags must have passed :func:`_validate_engine_args`.  A
-    distributed backend is shut down on exit, which lets connected
-    workers exit cleanly.
+    The flags must have passed :func:`_validate_engine_args`.  A backend
+    instance built here is closed on exit; closing a distributed backend
+    shuts its coordinator down, which lets connected workers exit cleanly.
     """
     backend = _engine_backend(args)
     try:
         yield {"backend": backend, "workers": args.workers if isinstance(backend, str) else None}
     finally:
-        if isinstance(backend, DistributedBackend):
-            backend.shutdown()
+        if isinstance(backend, BatchExecutor):
+            backend.close()
 
 
 def _command_run(args: argparse.Namespace) -> int:
@@ -612,16 +608,12 @@ def _command_run(args: argparse.Namespace) -> int:
     with _engine(args) as engine:
         for kind in STAGE_KINDS:
             if any(EXPERIMENTS[n].observations == kind for n in names):
-                campaigns[kind] = collect_observations_for(
+                campaigns[kind] = collect_observations(
                     kind, config, cache_dir=args.cache_dir, **engine
                 )
     for name in names:
-        kind = EXPERIMENTS[name].observations
-        if kind is not None:
-            result = run_experiment(name, config, observations=campaigns[kind])
-        else:
-            result = run_experiment(name, config)
-        print(result.format())
+        observations = campaigns.get(EXPERIMENTS[name].observations)
+        print(run_experiment(name, config, observations=observations).format())
         print()
     return 0
 
@@ -736,14 +728,13 @@ def _command_campaign(args: argparse.Namespace) -> int:
             f"recorded across {len(report.stages)} stages",
             file=sys.stderr,
         )
-    summary = CampaignSummary.from_observations(config, observations)
     for key in canonical_emit_order(stages):
         if key not in observations:
             continue
         batch = observations[key]
         print(
-            f"{batch.label:<12s} runs={summary.n_runs[key]:<5d} "
-            f"success-rate={summary.success_rates[key]:.2%}"
+            f"{batch.label:<12s} runs={batch.n_runs:<5d} "
+            f"success-rate={batch.success_rate():.2%}"
         )
     if args.report is not None:
         report.save(args.report)
@@ -893,7 +884,7 @@ def _command_recipe(args: argparse.Namespace) -> int:
         return 2
     plan_text = json.dumps(plan, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(plan_text)
+        atomic_write_bytes(Path(args.out), plan_text.encode())
         print(f"campaign plan written to {args.out}", file=sys.stderr)
     elif not args.run:
         sys.stdout.write(plan_text)
@@ -905,7 +896,8 @@ def _command_recipe(args: argparse.Namespace) -> int:
         except RecipeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        Path(args.submission).write_text(json.dumps(submission, indent=2, sort_keys=True) + "\n")
+        submission_text = json.dumps(submission, indent=2, sort_keys=True) + "\n"
+        atomic_write_bytes(Path(args.submission), submission_text.encode())
         print(f"service submission written to {args.submission}", file=sys.stderr)
     if not args.run:
         return 0

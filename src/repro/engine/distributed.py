@@ -792,12 +792,13 @@ class DistributedBackend(BatchExecutor):
             self._server.close()
             self._server = None
 
+    def close(self) -> None:
+        """Shut down immediately (:meth:`shutdown` without a drain)."""
+        self.shutdown()
+
     def __enter__(self) -> "DistributedBackend":
         self.start()
         return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     def describe(self) -> str:
         transport = (

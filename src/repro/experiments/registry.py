@@ -2,11 +2,14 @@
 
 Paper identifiers (``table1`` … ``figure14``) reproduce the evaluation
 section; the ``sat_*`` experiments exercise the SAT extension the paper's
-conclusion proposes.  Each entry declares which observation campaign it
+conclusion proposes.  Each entry declares which observation kind it
 consumes (``"benchmarks"`` for the three CSP benchmarks, ``"sat"`` for the
-planted 3-SAT WalkSAT campaign, ``None`` for pure-model figures) so the CLI
-and :func:`run_experiment` collect each campaign at most once per
-invocation and share it through the content-addressed observation cache.
+configured WalkSAT workload, ``"sat_policies"`` for its flip-policy family,
+``None`` for pure-model figures).  The CLI collects each kind once per
+invocation with :func:`repro.experiments.data.collect_observations` and
+hands the observations to every experiment; :func:`run_experiment` is the
+one place that collects on its own when none are given (served by the
+content-addressed observation cache).
 """
 
 from __future__ import annotations
@@ -15,32 +18,16 @@ import dataclasses
 from typing import Callable, Mapping
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.data import (
-    collect_benchmark_observations,
-    collect_sat_observations,
-    collect_sat_policy_observations,
-)
+from repro.experiments.data import collect_observations
 from repro.experiments.stages import STAGE_KINDS
 from repro.experiments import figures_experiments, figures_fits, figures_model, sat, tables
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentEntry",
-    "collect_observations_for",
     "list_experiments",
     "run_experiment",
 ]
-
-#: Campaign collectors per kind (signature of collect_benchmark_observations).
-#: Each one executes the corresponding stage definitions through the
-#: campaign orchestrator with the controller off; the observation cache
-#: (the process-wide memory tier unless a directory is given) makes a
-#: repeated collection free.
-_COLLECTORS: Mapping[str, Callable] = {
-    "benchmarks": collect_benchmark_observations,
-    "sat": collect_sat_observations,
-    "sat_policies": collect_sat_policy_observations,
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,8 +41,9 @@ class ExperimentEntry:
         ``(config, observations)``, pure-model ones take keyword arguments
         only.
     observations:
-        Which campaign the experiment consumes: ``"benchmarks"``, ``"sat"``
-        or ``None`` for experiments that run no solver.
+        Which observation kind the experiment consumes (one of
+        :data:`~repro.experiments.stages.STAGE_KINDS`), or ``None`` for
+        experiments that run no solver.
     description:
         One-line description shown by ``repro-lasvegas list``.
     """
@@ -103,33 +91,25 @@ def list_experiments() -> list[tuple[str, str]]:
     return [(name, entry.description) for name, entry in EXPERIMENTS.items()]
 
 
-def collect_observations_for(kind: str, config: ExperimentConfig, **kwargs):
-    """Collect (or reuse) the observation campaign of the given kind."""
-    try:
-        collector = _COLLECTORS[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown observation kind {kind!r}; known kinds: {sorted(_COLLECTORS)}"
-        ) from None
-    return collector(config, **kwargs)
-
-
 def run_experiment(name: str, config: ExperimentConfig | None = None, **kwargs):
     """Run one experiment by its identifier and return its result object.
 
-    Solver-backed experiments share their campaign (CSP benchmarks or the
-    SAT workload) through the observation cache, so running several of
-    them only pays the solver cost once per configuration.
+    Solver-backed experiments use the ``observations`` keyword when given;
+    without it their kind is collected with
+    :func:`~repro.experiments.data.collect_observations`, whose observation
+    cache makes running several of them pay the solver cost once per
+    configuration.  Pure-model experiments ignore ``config`` and
+    ``observations``.
     """
     try:
         entry = EXPERIMENTS[name]
     except KeyError:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {name!r}; known experiments: {known}") from None
-    if entry.observations is not None:
-        config = config or ExperimentConfig.quick()
-        observations = kwargs.pop("observations", None)
-        if observations is None:
-            observations = collect_observations_for(entry.observations, config)
-        return entry.func(config, observations, **kwargs)
-    return entry.func(**kwargs)
+    observations = kwargs.pop("observations", None)
+    if entry.observations is None:
+        return entry.func(**kwargs)
+    config = config or ExperimentConfig.quick()
+    if observations is None:
+        observations = collect_observations(entry.observations, config)
+    return entry.func(config, observations, **kwargs)

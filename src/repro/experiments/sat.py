@@ -38,7 +38,6 @@ from repro.core.prediction import (
     predict_speedup_empirical,
 )
 from repro.experiments.config import SAT_KEY, ExperimentConfig
-from repro.experiments.data import collect_sat_observations
 from repro.experiments.report import format_table
 from repro.multiwalk.observations import RuntimeObservations
 from repro.multiwalk.simulate import MultiwalkMeasurement, simulate_multiwalk_speedups
@@ -109,8 +108,8 @@ class SATSequentialTable:
 
 
 def sat_flips_table(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SATSequentialTable:
     """Min/mean/median/max of the sequential WalkSAT flip counts.
 
@@ -119,8 +118,6 @@ def sat_flips_table(
     censoring-aware mean instead of pretending the solved runs are the
     whole story.
     """
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_sat_observations(config)
     batch = observations[SAT_KEY]
     solved_any = batch.n_solved > 0
     return SATSequentialTable(
@@ -178,14 +175,10 @@ class SATPolicyTable:
 
 
 def sat_policy_table(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SATPolicyTable:
     """Compare every registered flip policy on the configured SAT instance."""
-    from repro.experiments.data import collect_sat_policy_observations
-
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_sat_policy_observations(config)
     summaries: dict[str, RuntimeSummary | None] = {}
     success_rates: dict[str, float] = {}
     censored_means: dict[str, float | None] = {}
@@ -249,12 +242,10 @@ class SATPortfolioTable:
 
 
 def sat_portfolio_table(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SATPortfolioTable:
     """Simulated portfolio speed-ups vs the parametric and empirical predictors."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_sat_observations(config)
     batch = observations[SAT_KEY]
     flips = batch.values("iterations")
     rng = np.random.default_rng(config.base_seed + 977)

@@ -7,10 +7,11 @@
 * Table 5 — measured vs predicted speed-ups (the paper's headline result).
 
 "Measured" speed-ups come from the simulated multi-walk (block minima over
-independent sequential runs — see DESIGN.md §4); "predicted" speed-ups come
-from the fitted-distribution model of Section 3 using the same family per
-benchmark as the paper (lognormal for MAGIC-SQUARE, shifted exponential for
-ALL-INTERVAL, non-shifted exponential for COSTAS).
+independent sequential runs — the hardware substitution described in the
+``repro.experiments`` entry of ``docs/architecture.md``); "predicted"
+speed-ups come from the fitted-distribution model of Section 3 using the
+same family per benchmark as the paper (lognormal for MAGIC-SQUARE, shifted
+exponential for ALL-INTERVAL, non-shifted exponential for COSTAS).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from repro.core.prediction import PredictionResult, predict_speedup_curve
 from repro.experiments.config import BENCHMARK_KEYS, ExperimentConfig
-from repro.experiments.data import collect_benchmark_observations
 from repro.experiments.report import format_table
 from repro.multiwalk.observations import RuntimeObservations
 from repro.multiwalk.simulate import MultiwalkMeasurement, simulate_multiwalk_speedups
@@ -83,22 +83,18 @@ def _summary_table(
 
 
 def table1_sequential_times(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SequentialSummaryTable:
     """Table 1: sequential execution times (seconds)."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _summary_table(config, observations, "time", "Table 1. Sequential execution times (s)")
 
 
 def table2_sequential_iterations(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SequentialSummaryTable:
     """Table 2: sequential number of iterations."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _summary_table(
         config, observations, "iterations", "Table 2. Sequential number of iterations"
     )
@@ -164,24 +160,20 @@ def _speedup_table(
 
 
 def table3_time_speedups(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SpeedupTable:
     """Table 3: measured speed-ups with respect to sequential time."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _speedup_table(
         config, observations, "time", "Table 3. Speed-ups with respect to sequential time"
     )
 
 
 def table4_iteration_speedups(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SpeedupTable:
     """Table 4: measured speed-ups with respect to sequential iterations."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _speedup_table(
         config,
         observations,
@@ -239,14 +231,12 @@ class PredictionComparisonTable:
 
 
 def table5_prediction_comparison(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
     *,
     cores: Sequence[int] | None = None,
 ) -> PredictionComparisonTable:
     """Table 5: predicted speed-ups (Section 6 fits) vs measured speed-ups."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     core_list = tuple(int(c) for c in (cores or config.cores))
 
     experimental_table = _speedup_table(config, observations, "iterations", "")

@@ -6,8 +6,8 @@ parallel runs.  An independent multi-walk exchanges no information between
 walks, so its runtime is *exactly* the minimum of ``k`` independent
 sequential runtimes; this module therefore measures speed-ups by grouping
 independent sequential observations into blocks of ``k`` and averaging the
-block minima — the documented hardware substitution of this reproduction
-(see DESIGN.md §4).
+block minima — the hardware substitution of this reproduction (see the
+``repro.experiments`` entry of ``docs/architecture.md``).
 
 The blocks are bootstrap blocks: each is ``k`` observations drawn with
 replacement, so any sample size serves any core count (with a slight bias

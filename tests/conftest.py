@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.data import collect_benchmark_observations
+from repro.experiments.data import collect_observations
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def tiny_config() -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def tiny_observations(tiny_config):
     """One shared solver campaign for all experiment-layer tests."""
-    return collect_benchmark_observations(tiny_config)
+    return collect_observations("benchmarks", tiny_config)
 
 
 @pytest.fixture

@@ -619,6 +619,15 @@ class TestBackendConfiguration:
                 executor=DistributedBackend(coordinator="127.0.0.1:0"),
             )
 
+    def test_close_releases_the_coordinator(self):
+        backend = DistributedBackend(coordinator="127.0.0.1:0")
+        host, port = backend.start().rsplit(":", 1)
+        backend.close()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, int(port)), timeout=2.0).close()
+        with pytest.raises(RuntimeError, match="shut down"):
+            backend.start()
+
     def test_describe_names_the_transport(self, tmp_path):
         assert "coordinator=" in DistributedBackend(coordinator="h:1").describe()
         assert "job_dir=" in DistributedBackend(job_dir=tmp_path).describe()
@@ -655,20 +664,20 @@ class TestSATWorkloadFamilies:
         import dataclasses
 
         from repro.experiments.config import ExperimentConfig
-        from repro.experiments.data import clear_observation_cache, collect_sat_observations
+        from repro.experiments.data import clear_observation_cache, collect_observations
 
         config = dataclasses.replace(
             ExperimentConfig.tiny(), n_sequential_runs=8, **overrides
         )
         clear_observation_cache()
-        serial = collect_sat_observations(config, cache_dir=tmp_path / "serial")["SAT"]
+        serial = collect_observations("sat", config, cache_dir=tmp_path / "serial")["SAT"]
         clear_observation_cache()
         backend = DistributedBackend(job_dir=tmp_path / "jobs", poll_interval=0.01)
         backend.start()
         workers = _spawn_workers(2, job_dir=tmp_path / "jobs")
         try:
-            distributed = collect_sat_observations(
-                config, cache_dir=tmp_path / "dist", backend=backend
+            distributed = collect_observations(
+                "sat", config, cache_dir=tmp_path / "dist", backend=backend
             )["SAT"]
         finally:
             backend.shutdown()

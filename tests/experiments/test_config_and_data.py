@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import BENCHMARK_KEYS, SAT_KEY, ExperimentConfig
-from repro.experiments.data import (
-    CampaignSummary,
-    clear_observation_cache,
-    collect_benchmark_observations,
-    collect_sat_observations,
-    collect_sat_policy_observations,
-)
+from repro.experiments.data import clear_observation_cache, collect_observations
+from repro.experiments.stages import STAGE_KINDS
 from repro.solvers.policies import POLICIES
 
 
@@ -63,7 +58,7 @@ class TestCampaignCollection:
             assert tiny_observations[key].n_runs == tiny_config.n_sequential_runs
 
     def test_in_process_cache_returns_same_data(self, tiny_config, tiny_observations):
-        again = collect_benchmark_observations(tiny_config)
+        again = collect_observations("benchmarks", tiny_config)
         for key in BENCHMARK_KEYS:
             np.testing.assert_array_equal(
                 again[key].iterations, tiny_observations[key].iterations
@@ -81,37 +76,48 @@ class TestCampaignCollection:
             base_seed=7,
         )
         clear_observation_cache()
-        first = collect_benchmark_observations(config, cache_dir=tmp_path)
+        first = collect_observations("benchmarks", config, cache_dir=tmp_path)
         files = list(tmp_path.glob("observations-*.json"))
         assert len(files) == 3
         clear_observation_cache()
-        second = collect_benchmark_observations(config, cache_dir=tmp_path)
+        second = collect_observations("benchmarks", config, cache_dir=tmp_path)
         for key in BENCHMARK_KEYS:
             np.testing.assert_array_equal(first[key].iterations, second[key].iterations)
         clear_observation_cache()
 
     def test_repeat_collection_runs_no_solver(self, tiny_config, solver_runs):
-        first = collect_benchmark_observations(tiny_config)
+        first = collect_observations("benchmarks", tiny_config)
         solver_runs.clear()
-        again = collect_benchmark_observations(tiny_config)
+        again = collect_observations("benchmarks", tiny_config)
         assert solver_runs == []
         for key in BENCHMARK_KEYS:
             np.testing.assert_array_equal(again[key].runtimes, first[key].runtimes)
 
     def test_clear_empties_the_memory_tier(self, tiny_config, solver_runs):
         config = dataclasses.replace(tiny_config, n_sequential_runs=3, base_seed=41)
-        collect_sat_observations(config)
+        collect_observations("sat", config)
         assert len(solver_runs) == 3
-        collect_sat_observations(config)
+        collect_observations("sat", config)
         assert len(solver_runs) == 3
         clear_observation_cache()
-        collect_sat_observations(config)
+        collect_observations("sat", config)
         assert len(solver_runs) == 6
 
-    def test_campaign_summary(self, tiny_config, tiny_observations):
-        summary = CampaignSummary.from_observations(tiny_config, tiny_observations)
-        assert set(summary.n_runs) == set(BENCHMARK_KEYS)
-        assert all(0.0 <= rate <= 1.0 for rate in summary.success_rates.values())
+    def test_unknown_kind_names_the_known_kinds(self, tiny_config, solver_runs):
+        with pytest.raises(ValueError) as excinfo:
+            collect_observations("nope", tiny_config)
+        assert "nope" in str(excinfo.value)
+        assert str(STAGE_KINDS) in str(excinfo.value)
+        assert solver_runs == []
+
+    def test_policy_keys_follow_the_registered_policy_order(self, tiny_config):
+        # Non-default configured policy: its batch is the SAT stage's, which
+        # runs first, yet its key keeps its place in POLICIES order.
+        config = dataclasses.replace(
+            tiny_config, n_sequential_runs=2, sat_policy=POLICIES[-1]
+        )
+        observations = collect_observations("sat_policies", config)
+        assert list(observations) == [f"{SAT_KEY}/{policy}" for policy in POLICIES]
 
 
 class TestSATConfig:
@@ -158,10 +164,10 @@ class TestSATConfig:
 
 class TestSATCampaignCollection:
     def test_collection_and_in_process_cache(self, tiny_config):
-        first = collect_sat_observations(tiny_config)
+        first = collect_observations("sat", tiny_config)
         assert set(first) == {SAT_KEY}
         assert first[SAT_KEY].n_runs == tiny_config.n_sequential_runs
-        again = collect_sat_observations(tiny_config)
+        again = collect_observations("sat", tiny_config)
         np.testing.assert_array_equal(first[SAT_KEY].iterations, again[SAT_KEY].iterations)
 
     def test_disk_cache_round_trip(self, tmp_path):
@@ -172,20 +178,20 @@ class TestSATCampaignCollection:
             base_seed=13,
         )
         clear_observation_cache()
-        first = collect_sat_observations(config, cache_dir=tmp_path)
+        first = collect_observations("sat", config, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("observations-*.json"))) == 1
         clear_observation_cache()
-        second = collect_sat_observations(config, cache_dir=tmp_path)
+        second = collect_observations("sat", config, cache_dir=tmp_path)
         np.testing.assert_array_equal(first[SAT_KEY].iterations, second[SAT_KEY].iterations)
         clear_observation_cache()
 
     def test_policy_family_reuses_the_sat_batch(self, tiny_config, solver_runs):
         config = dataclasses.replace(tiny_config, n_sequential_runs=4, base_seed=23)
         clear_observation_cache()
-        single = collect_sat_observations(config)[SAT_KEY]
+        single = collect_observations("sat", config)[SAT_KEY]
         assert len(solver_runs) == 4
         solver_runs.clear()
-        policies = collect_sat_policy_observations(config)
+        policies = collect_observations("sat_policies", config)
         # Only the non-default policies ran: the default-policy stage has
         # the SAT stage's cache address.
         assert len(solver_runs) == 4 * (len(POLICIES) - 1)
@@ -196,8 +202,8 @@ class TestSATCampaignCollection:
 
     def test_sat_campaign_is_backend_invariant(self, tiny_config):
         clear_observation_cache()
-        serial = collect_sat_observations(tiny_config)[SAT_KEY]
+        serial = collect_observations("sat", tiny_config)[SAT_KEY]
         clear_observation_cache()
-        threaded = collect_sat_observations(tiny_config, backend="thread", workers=2)[SAT_KEY]
+        threaded = collect_observations("sat", tiny_config, backend="thread", workers=2)[SAT_KEY]
         np.testing.assert_array_equal(serial.iterations, threaded.iterations)
         clear_observation_cache()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS, list_experiments, run_experiment
+from repro.experiments.stages import STAGE_KINDS
 from repro.experiments.report import format_series, format_table
 
 
@@ -34,6 +35,16 @@ class TestRegistry:
     def test_run_experiment_with_observations(self, tiny_config, tiny_observations):
         result = run_experiment("table2", tiny_config, observations=tiny_observations)
         assert "Table 2" in result.format()
+
+    def test_run_experiment_collects_when_no_observations_are_given(
+        self, tiny_config, tiny_observations, solver_runs
+    ):
+        lazy = run_experiment("table2", tiny_config)
+        eager = run_experiment("table2", tiny_config, observations=tiny_observations)
+        assert lazy.format() == eager.format()
+        solver_runs.clear()
+        run_experiment("table2", tiny_config)
+        assert solver_runs == []  # the memory tier serves the repeat
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
@@ -88,6 +99,22 @@ class TestCLI:
         # for the tiny profile, so this does not re-run the solvers.
         assert main(["run", "table2", "--profile", "tiny"]) == 0
         assert "Table 2" in capsys.readouterr().out
+
+    def test_run_all_collects_each_kind_once(self, capsys, monkeypatch):
+        import repro.experiments.data as data_mod
+
+        campaigns = []
+        run_campaign = data_mod.run_campaign
+
+        def counting(stages, **kwargs):
+            campaigns.append([stage.key for stage in stages])
+            return run_campaign(stages, **kwargs)
+
+        monkeypatch.setattr(data_mod, "run_campaign", counting)
+        assert main(["run", "all", "--profile", "tiny"]) == 0
+        # One campaign per observation kind; no experiment collects again.
+        assert len(campaigns) == len(STAGE_KINDS)
+        assert "Figure 14" in capsys.readouterr().out
 
     def test_predict_from_file(self, tmp_path, capsys, rng):
         values = rng.exponential(1000.0, 200)

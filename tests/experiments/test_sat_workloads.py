@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import SAT_FAMILIES, SAT_KEY, ExperimentConfig
-from repro.experiments.data import (
-    clear_observation_cache,
-    collect_sat_observations,
-    collect_sat_policy_observations,
-)
+from repro.experiments.data import clear_observation_cache, collect_observations
 from repro.experiments.sat import sat_flips_table, sat_policy_table
 from repro.solvers.policies import POLICIES
 
@@ -81,13 +77,13 @@ class TestCampaignCollection:
     @pytest.mark.parametrize("family", SAT_FAMILIES)
     def test_collect_each_family_through_the_engine(self, family, tmp_path):
         config = _tiny(sat_family=family, n_sequential_runs=8)
-        observations = collect_sat_observations(config, cache_dir=tmp_path)
+        observations = collect_observations("sat", config, cache_dir=tmp_path)
         batch = observations[SAT_KEY]
         assert batch.n_runs == 8
         assert batch.label == config.sat_benchmark().label
         # Second collection must be a disk-cache hit producing equal data.
         clear_observation_cache()
-        again = collect_sat_observations(config, cache_dir=tmp_path)[SAT_KEY]
+        again = collect_observations("sat", config, cache_dir=tmp_path)[SAT_KEY]
         np.testing.assert_array_equal(batch.iterations, again.iterations)
         np.testing.assert_array_equal(batch.solved, again.solved)
 
@@ -95,14 +91,14 @@ class TestCampaignCollection:
         for family in SAT_FAMILIES:
             for policy in ("walksat", "novelty"):
                 config = _tiny(sat_family=family, sat_policy=policy, n_sequential_runs=4)
-                collect_sat_observations(config, cache_dir=tmp_path)
+                collect_observations("sat", config, cache_dir=tmp_path)
                 clear_observation_cache()
         files = {p.name for p in tmp_path.glob("*.json")}
         assert len(files) == len(SAT_FAMILIES) * 2, files
 
     def test_policy_campaign_collects_every_policy(self):
         config = _tiny(n_sequential_runs=6)
-        observations = collect_sat_policy_observations(config)
+        observations = collect_observations("sat_policies", config)
         assert set(observations) == {f"{SAT_KEY}/{p}" for p in POLICIES}
         labels = {observations[f"{SAT_KEY}/{p}"].label for p in POLICIES}
         assert len(labels) == len(POLICIES)  # one label per policy
@@ -112,18 +108,18 @@ class TestCampaignCollection:
         # not be collected twice — the policy campaign reads the batch the
         # single-policy campaign left in the memory tier.
         config = _tiny(n_sequential_runs=6)
-        single = collect_sat_observations(config)[SAT_KEY]
-        policies = collect_sat_policy_observations(config)
+        single = collect_observations("sat", config)[SAT_KEY]
+        policies = collect_observations("sat_policies", config)
         shared = policies[f"{SAT_KEY}/{config.sat_policy}"]
         np.testing.assert_array_equal(shared.iterations, single.iterations)
         np.testing.assert_array_equal(shared.runtimes, single.runtimes)
 
     def test_policy_campaign_shares_the_default_policy_cache_entry(self, tmp_path):
         config = _tiny(n_sequential_runs=6)
-        collect_sat_observations(config, cache_dir=tmp_path)
+        collect_observations("sat", config, cache_dir=tmp_path)
         n_single = len(list(tmp_path.glob("*.json")))
         clear_observation_cache()
-        collect_sat_policy_observations(config, cache_dir=tmp_path)
+        collect_observations("sat_policies", config, cache_dir=tmp_path)
         n_all = len(list(tmp_path.glob("*.json")))
         # The walksat batch was reused from disk: only the three non-default
         # policies added files.
@@ -137,7 +133,7 @@ class TestCensoringAwareFits:
         # censors part of the campaign; sat_flips must report the censored
         # exponential MLE mean instead of the naive solved-only mean.
         config = _tiny(sat_family="uniform", n_sequential_runs=30, max_iterations=60)
-        observations = collect_sat_observations(config)
+        observations = collect_observations("sat", config)
         batch = observations[SAT_KEY]
         assert 0 < batch.n_solved < batch.n_runs, "need a partially censored batch"
         table = sat_flips_table(config, observations)
@@ -149,7 +145,7 @@ class TestCensoringAwareFits:
 
     def test_fully_observed_batch_reports_no_censored_mean(self):
         config = _tiny(n_sequential_runs=8)
-        observations = collect_sat_observations(config)
+        observations = collect_observations("sat", config)
         assert observations[SAT_KEY].n_solved == 8
         table = sat_flips_table(config, observations)
         assert table.censored_mean is None
@@ -157,7 +153,7 @@ class TestCensoringAwareFits:
 
     def test_fully_censored_batch_formats_without_crashing(self):
         config = _tiny(sat_family="uniform", n_sequential_runs=6, max_iterations=1)
-        observations = collect_sat_observations(config)
+        observations = collect_observations("sat", config)
         assert observations[SAT_KEY].n_solved == 0
         table = sat_flips_table(config, observations)
         assert table.summary is None
@@ -165,7 +161,7 @@ class TestCensoringAwareFits:
 
     def test_policy_table_reports_per_policy_censoring(self):
         config = _tiny(sat_family="uniform", n_sequential_runs=20, max_iterations=60)
-        table = sat_policy_table(config)
+        table = sat_policy_table(config, collect_observations("sat_policies", config))
         assert table.policies == POLICIES
         assert set(table.censored_means) == set(POLICIES)
         formatted = table.format()

@@ -39,6 +39,36 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["n_stages"] == 2
 
+    def test_cli_files_hold_the_printed_bytes(self, tiny_sat_recipe, tmp_path, capsys):
+        path = tiny_sat_recipe.save(tmp_path / "r.json")
+        assert main(["recipe", "generate", str(path), "--scale", "2"]) == 0
+        printed = capsys.readouterr().out
+        out, submission = tmp_path / "plan.json", tmp_path / "submit.json"
+        argv = ["recipe", "generate", str(path), "--scale", "2"]
+        assert main(argv + ["--out", str(out), "--submission", str(submission)]) == 0
+        assert out.read_text() == printed
+        expected = generate_submission(tiny_sat_recipe, scale=2)
+        assert submission.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--submission"])
+    def test_failed_replace_leaves_no_partial_file(
+        self, tiny_sat_recipe, tmp_path, monkeypatch, flag
+    ):
+        import repro.multiwalk.observations as observations_mod
+
+        path = tiny_sat_recipe.save(tmp_path / "r.json")
+        target = tmp_path / "artefact.json"
+        target.write_text("earlier artefact\n")
+
+        def failing_replace(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(observations_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            main(["recipe", "generate", str(path), flag, str(target)])
+        assert target.read_text() == "earlier artefact\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artefact.json", "r.json"]
+
     def test_seed_override_changes_runs_deterministically(self, tiny_sat_recipe):
         base = run_campaign(generate_stages(tiny_sat_recipe, base_seed=123))
         again = run_campaign(generate_stages(tiny_sat_recipe, base_seed=123))
