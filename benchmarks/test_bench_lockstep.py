@@ -14,9 +14,11 @@ Expected shape of the numbers: per step the kernel answers every active
 walk's break-count/selection math in a handful of numpy calls whose cost
 grows sublinearly in K, while the scalar loop pays full Python dispatch
 per walk per flip — so throughput climbs steeply to K ~ 16 and keeps
-creeping up until the (K, m) count matrix falls out of cache (measured on
-this container: ~0.5x at K=1 — the batched math costs more than it saves
-with nothing to amortise over — ~2.8x at K=16, ~4.5x at K=64).
+creeping up until the (K, m) count matrix falls out of cache.  Measured
+on a 2-vCPU container against a scalar path of ~52k-68k flips/s: ~0.2x
+at K=1 — the batched math costs more than it saves with nothing to
+amortise over — ~0.8-0.9x at K=16 and ~1.2-1.3x at K=64, so the >= 3x
+gate fails there.
 """
 
 import os

@@ -13,10 +13,12 @@ way so PRs can track the trend.
 Expected shape of the numbers: the batch path pays O(k·m·w) full literal-
 matrix rebuilds per flip, the incremental path O(occurrences of the
 flipped variable); the ratio therefore grows with the clause count
-(measured on this container: ~9x at n=100, ~17x at n=250, ~30x at n=500
-for the SKC policy; the Novelty family queries make counts too — two
-batch re-evaluations per candidate — so its ratios come out higher
-still).
+(measured on a 2-vCPU container: ~24x at n=100, ~51x at n=250, ~115x at
+n=500 for the SKC policy; the incremental path runs at about 50k-85k
+flips/s at every size, so the ratio tracks the batch path's cost).
+
+The last bench records, ungated, the scalar flips/second on the perfbench
+``adaptive-process`` formula, the hot loop that workload spends its time in.
 """
 
 import os
@@ -25,7 +27,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.sat import random_planted_ksat
+from repro.sat import random_ksat, random_planted_ksat
+from repro.sat.generators import clause_count_for_ratio
 from repro.solvers.policies import POLICIES
 from repro.solvers.walksat import WalkSAT, WalkSATConfig
 
@@ -132,3 +135,42 @@ def test_3sat250_incremental_speedup_gate(benchmark, policy, bench_results):
             f"incremental clause state should be >= 5x the batch path on "
             f"planted 3-SAT n=250 @ {RATIO} under policy {policy!r}, got {ratio:.2f}x"
         )
+
+
+@pytest.mark.benchmark(group="walksat-flips")
+def test_scalar_flips_on_the_adaptive_process_formula(benchmark, request, bench_results):
+    """Scalar flips/second on the perfbench ``adaptive-process`` formula.
+
+    Uniform 3-SAT n=50 @ 4.2 (instance seed ``(20130813, 0x5AA)``), noise
+    0.1, 20k-flip budget: the solver hot loop that workload spends almost
+    all its time in.  Ungated: the number is recorded so the hot-loop layer
+    has its own trajectory in the CI artifacts.
+    """
+    formula = random_ksat(
+        50, clause_count_for_ratio(50, RATIO), 3, rng=np.random.default_rng((20130813, 0x5AA))
+    )
+    solver = WalkSAT(formula, WalkSATConfig(max_flips=20_000, noise=0.1))
+    seeds = range(8)
+
+    def scalar():
+        start = time.perf_counter()
+        flips = sum(solver.run(seed).iterations for seed in seeds)
+        return flips, flips / (time.perf_counter() - start)
+
+    flips, flips_per_second = benchmark.pedantic(scalar, rounds=1, iterations=1, warmup_rounds=0)
+    bench_results.record(
+        "walksat-flips[uniform-50@4.2-noise0.1]",
+        "flips_per_second",
+        flips_per_second,
+        n_variables=50,
+        clause_ratio=RATIO,
+        noise=0.1,
+        budget=20_000,
+        n_runs=len(seeds),
+        flips=flips,
+    )
+    print_once(
+        request,
+        f"walksat-flips[uniform-50@4.2-noise0.1]: {flips_per_second:,.0f} flips/s "
+        f"({1e6 / flips_per_second:.1f} us/flip over {flips:,} flips)",
+    )

@@ -17,7 +17,7 @@ exponential for ALL-INTERVAL, non-shifted exponential for COSTAS).
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -233,11 +233,13 @@ class PredictionComparisonTable:
 def table5_prediction_comparison(
     config: ExperimentConfig,
     observations: Mapping[str, RuntimeObservations],
-    *,
-    cores: Sequence[int] | None = None,
 ) -> PredictionComparisonTable:
-    """Table 5: predicted speed-ups (Section 6 fits) vs measured speed-ups."""
-    core_list = tuple(int(c) for c in (cores or config.cores))
+    """Table 5: predicted speed-ups (Section 6 fits) vs measured speed-ups.
+
+    Both series are at ``config.cores``: the measured one comes from the
+    same core counts, so the rows line up column by column.
+    """
+    core_list = tuple(int(c) for c in config.cores)
 
     experimental_table = _speedup_table(config, observations, "iterations", "")
     predictions: dict[str, PredictionResult] = {}

@@ -6,17 +6,21 @@ clause?*, and *what changes when the chosen variable flips?*.  The batch
 answers rebuild the full ``(n_clauses, width)`` literal matrix for every
 question — O(m·w) per query and O(k·m·w) per flip.  This module answers all
 three from counters maintained across flips, mirroring the CSP
-:class:`~repro.csp.permutation.DeltaEvaluator` design (PR 2):
+:class:`~repro.csp.permutation.DeltaEvaluator` design:
 
 * :class:`ClauseEvaluator` — per-formula immutable precomputation: for each
-  variable, the (ascending) list of clauses it occurs in together with its
-  positive/negative literal multiplicities there.  Shared by every run on
+  variable, its ascending occurrence list (clause, positive and negative
+  literal multiplicities), and from it, for each (variable, current value)
+  pair, three flat ``list[int]`` tables — the break candidates, the make
+  clauses and the signed count deltas of a flip.  Shared by every run on
   the formula (memoised via :meth:`repro.sat.cnf.CNFFormula.clause_evaluator`).
-* :class:`ClauseState` — per-run mutable state: the assignment, the number
-  of true literals per clause, and the unsatisfied-clause set as a dynamic
-  array with O(1) membership updates (swap-remove with a position table).
-  One flip costs O(occurrences of the flipped variable), amortised O(1)
-  bookkeeping per clause transition.
+* :class:`ClauseState` — per-run mutable state: the assignment as a
+  ``list[bool]``, the number of true literals per clause as a
+  ``list[int]``, and the unsatisfied-clause set as a dynamic array with
+  O(1) membership updates (swap-remove with a position table).  One flip
+  costs O(occurrences of the flipped variable) of plain Python over the
+  flat tables: at the 6–13 occurrences of a 3-SAT variable, indexing
+  Python lists is several times cheaper than a NumPy gather/scatter call.
 * :class:`IncrementalClausePath` / :class:`BatchClausePath` — the two
   interchangeable :class:`~repro.evaluation.EvaluationPath` implementations
   WalkSAT consumes.  The batch path recomputes satisfaction from scratch
@@ -56,26 +60,39 @@ class ClauseState(IncrementalState):
 
     Attributes
     ----------
-    assignment:
-        The boolean assignment the counters describe (owned copy).
+    values:
+        The assignment the counters describe, as an owned ``list[bool]``
+        indexed by 0-based variable; :attr:`assignment` reads it as a
+        boolean array.
     true_counts:
-        ``int64`` array: number of true literal slots per clause
-        (duplicate literals counted, exactly
-        :meth:`CNFFormula.true_literal_counts`).
+        ``list[int]``: number of true literal slots per clause (duplicate
+        literals counted, exactly :meth:`CNFFormula.true_literal_counts`).
     unsat_list / unsat_pos:
         The unsatisfied-clause set as a dynamic array plus a clause-indexed
-        position table (``-1`` when absent).  Maintained with deterministic
-        edit rules — see :meth:`remove_clause` / :meth:`append_clause` —
-        so that the incremental and batch paths keep bit-identical
-        orderings.
+        position table (``-1`` when absent).  Edited only by
+        :meth:`apply_transitions`, whose deterministic rules keep the
+        incremental and batch paths in bit-identical orderings.
     """
 
-    def __init__(self, assignment: np.ndarray, true_counts: np.ndarray) -> None:
-        self.assignment = assignment
+    def __init__(self, values: list[bool], true_counts: list[int]) -> None:
+        self.values = values
         self.true_counts = true_counts
-        self.unsat_list: list[int] = []
-        self.unsat_pos: list[int] = [-1] * true_counts.size
-        self.rebuild_unsat()
+        # The set starts in ascending clause order.
+        self.unsat_list = [clause for clause, count in enumerate(true_counts) if count == 0]
+        self.unsat_pos = [-1] * len(true_counts)
+        for position, clause in enumerate(self.unsat_list):
+            self.unsat_pos[clause] = position
+
+    @classmethod
+    def for_assignment(cls, formula: CNFFormula, assignment: np.ndarray) -> "ClauseState":
+        """State of ``assignment`` on ``formula``, counted from scratch."""
+        assignment = np.asarray(assignment, dtype=bool)
+        return cls(assignment.tolist(), formula.true_literal_counts(assignment).tolist())
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """The assignment as a fresh boolean array (a copy of :attr:`values`)."""
+        return np.array(self.values, dtype=bool)
 
     # -- the unsatisfied-clause set ------------------------------------
     @property
@@ -91,121 +108,140 @@ class ClauseState(IncrementalState):
         """The clause stored at ``rank`` in the maintained set."""
         return self.unsat_list[rank]
 
-    def rebuild_unsat(self) -> None:
-        """Recompute the set from :attr:`true_counts`, in ascending order."""
-        for clause in self.unsat_list:
-            self.unsat_pos[clause] = -1
-        self.unsat_list = [int(c) for c in np.flatnonzero(self.true_counts == 0)]
-        for position, clause in enumerate(self.unsat_list):
-            self.unsat_pos[clause] = position
-
-    def append_clause(self, clause: int) -> None:
-        """Add a newly-unsatisfied clause (appends at the end)."""
-        self.unsat_pos[clause] = len(self.unsat_list)
-        self.unsat_list.append(clause)
-
-    def remove_clause(self, clause: int) -> None:
-        """Remove a newly-satisfied clause (swap-remove with the last)."""
-        position = self.unsat_pos[clause]
-        last = self.unsat_list[-1]
-        self.unsat_list[position] = last
-        self.unsat_pos[last] = position
-        self.unsat_list.pop()
-        self.unsat_pos[clause] = -1
-
-    def apply_transitions(self, became_sat, became_unsat) -> None:
+    def apply_transitions(self, became_sat: list[int], became_unsat: list[int]) -> None:
         """Commit one flip's clause transitions, in the canonical order.
 
-        Both arguments must be in ascending clause order; removals are
-        applied before additions.  Every path implementation funnels its
-        edits through here, which is what makes the internal ordering (and
-        therefore the clause picked for a given RNG draw) path-invariant.
+        Both arguments are ``int`` lists in ascending clause order.  Each
+        newly-satisfied clause is swap-removed (the last entry takes its
+        position), then each newly-unsatisfied clause is appended.  Every
+        path implementation funnels its edits through here, which is what
+        makes the internal ordering (and therefore the clause picked for a
+        given RNG draw) path-invariant.
         """
+        unsat_list, unsat_pos = self.unsat_list, self.unsat_pos
         for clause in became_sat:
-            self.remove_clause(int(clause))
+            position = unsat_pos[clause]
+            last = unsat_list[-1]
+            unsat_list[position] = last
+            unsat_pos[last] = position
+            unsat_list.pop()
+            unsat_pos[clause] = -1
         for clause in became_unsat:
-            self.append_clause(int(clause))
+            unsat_pos[clause] = len(unsat_list)
+            unsat_list.append(clause)
 
 
 class ClauseEvaluator(IncrementalEvaluator):
-    """Per-formula occurrence lists driving O(occurrences) flips.
+    """Per-formula flat tables driving O(occurrences) flips.
 
-    For each variable ``v`` (0-based) three aligned arrays are stored:
-    ``clauses[v]`` — the clauses containing ``v`` in ascending order,
-    ``positive[v]`` / ``negative[v]`` — how many positive / negative
-    literals of ``v`` each of those clauses holds (duplicates and
-    tautological clauses are handled exactly).
+    Built once per formula, all as plain Python lists:
+
+    * ``occurrences[v]`` — variable ``v``'s (0-based) occurrences as flat
+      ``[clause, positive, negative, ...]`` triples in ascending clause
+      order, where ``positive`` / ``negative`` count the literals of ``v``
+      of each sign in that clause (duplicates and tautological clauses are
+      handled exactly).  The lockstep kernel builds its rectangular
+      arrays from the same lists.
+    * ``clause_variables[c]`` — ``[abs(lit) - 1 for lit in clause]``, the
+      variable of each position of clause ``c`` (duplicates kept).
+    * Per (variable, current value), under key ``2 * v + value`` and with
+      ``current`` / ``new`` the variable's true-literal multiplicity in a
+      clause before / after the flip:
+
+      - ``_breaks`` — flat ``[clause, current, ...]`` pairs for the clauses
+        with ``current > 0 and new == 0``: the flip breaks such a clause
+        iff the variable holds every true literal, ``count == current``;
+      - ``_makes`` — the clauses with ``new > 0``, which the flip makes iff
+        they are unsatisfied;
+      - ``_deltas`` — flat ``[clause, new - current, ...]`` pairs, ascending,
+        for the clauses whose count the flip changes.
     """
 
     def __init__(self, formula: CNFFormula) -> None:
         self.formula = formula
-        n = formula.n_variables
-        clause_lists: list[list[int]] = [[] for _ in range(n)]
-        positive_lists: list[list[int]] = [[] for _ in range(n)]
-        negative_lists: list[list[int]] = [[] for _ in range(n)]
+        occurrences: list[list[int]] = [[] for _ in range(formula.n_variables)]
         for index, clause in enumerate(formula.clauses):
             for literal in clause:
-                variable = abs(literal) - 1
-                occurrences = clause_lists[variable]
-                if not occurrences or occurrences[-1] != index:
-                    occurrences.append(index)
-                    positive_lists[variable].append(0)
-                    negative_lists[variable].append(0)
-                if literal > 0:
-                    positive_lists[variable][-1] += 1
-                else:
-                    negative_lists[variable][-1] += 1
-        self.clauses = [np.asarray(c, dtype=np.int64) for c in clause_lists]
-        self.positive = [np.asarray(p, dtype=np.int64) for p in positive_lists]
-        self.negative = [np.asarray(m, dtype=np.int64) for m in negative_lists]
+                row = occurrences[abs(literal) - 1]
+                if not row or row[-3] != index:
+                    row += (index, 0, 0)
+                row[-2 if literal > 0 else -1] += 1
+        self.occurrences = occurrences
+        self.clause_variables = [[abs(lit) - 1 for lit in clause] for clause in formula.clauses]
+        self._breaks: list[list[int]] = []
+        self._makes: list[list[int]] = []
+        self._deltas: list[list[int]] = []
+        for row in occurrences:
+            triples = [row[i : i + 3] for i in range(0, len(row), 3)]
+            for value in (False, True):
+                breaks: list[int] = []
+                makes: list[int] = []
+                deltas: list[int] = []
+                for clause, positive, negative in triples:
+                    current, new = (positive, negative) if value else (negative, positive)
+                    if current > 0 and new == 0:
+                        breaks += (clause, current)
+                    if new > 0:
+                        makes.append(clause)
+                    if new != current:
+                        deltas += (clause, new - current)
+                self._breaks.append(breaks)
+                self._makes.append(makes)
+                self._deltas.append(deltas)
 
     # ------------------------------------------------------------------
     def attach(self, assignment: np.ndarray) -> ClauseState:
         """Build the incremental state for an assignment (copies it)."""
-        assignment = np.asarray(assignment, dtype=bool).copy()
-        return ClauseState(assignment, self.formula.true_literal_counts(assignment))
-
-    def _contributions(self, state: ClauseState, variable: int):
-        """Current / after-flip true-literal contributions of ``variable``."""
-        if state.assignment[variable]:
-            return self.positive[variable], self.negative[variable]
-        return self.negative[variable], self.positive[variable]
+        return ClauseState.for_assignment(self.formula, assignment)
 
     def break_count(self, state: ClauseState, variable: int) -> int:
         """Satisfied clauses that flipping ``variable`` would unsatisfy.
 
         A clause breaks iff the variable contributes *every* currently-true
-        literal (``counts == current > 0``) and contributes none after the
+        literal (``count == current > 0``) and contributes none after the
         flip (``new == 0``).  Exactly :meth:`CNFFormula.break_count`.
         """
-        current, new = self._contributions(state, variable)
-        counts = state.true_counts[self.clauses[variable]]
-        return int(np.count_nonzero((counts == current) & (current > 0) & (new == 0)))
+        counts = state.true_counts
+        pairs = iter(self._breaks[2 * variable + state.values[variable]])
+        broken = 0
+        for clause, current in zip(pairs, pairs):
+            if counts[clause] == current:
+                broken += 1
+        return broken
 
     def make_count(self, state: ClauseState, variable: int) -> int:
         """Unsatisfied clauses that flipping ``variable`` would satisfy."""
-        current, new = self._contributions(state, variable)
-        counts = state.true_counts[self.clauses[variable]]
-        return int(np.count_nonzero((counts == 0) & (new > 0)))
+        counts = state.true_counts
+        made = 0
+        for clause in self._makes[2 * variable + state.values[variable]]:
+            if counts[clause] == 0:
+                made += 1
+        return made
 
     def flip(self, state: ClauseState, variable: int) -> None:
         """Flip ``variable``: update counts and the unsatisfied set.
 
-        O(occurrences of ``variable``); the occurrence arrays are ascending,
-        so the transition lists handed to
-        :meth:`ClauseState.apply_transitions` are ascending too — the same
-        order the batch oracle derives from ``np.flatnonzero``.
+        O(occurrences of ``variable``); the delta table is ascending, so
+        the transition lists handed to :meth:`ClauseState.apply_transitions`
+        are ascending too — the same order the batch oracle derives from
+        ``np.flatnonzero``.
         """
-        indices = self.clauses[variable]
-        current, new = self._contributions(state, variable)
-        counts = state.true_counts[indices]
-        updated = counts + (new - current)
-        state.true_counts[indices] = updated
-        state.assignment[variable] = not state.assignment[variable]
-        state.apply_transitions(
-            indices[(counts == 0) & (updated > 0)],
-            indices[(counts > 0) & (updated == 0)],
-        )
+        counts = state.true_counts
+        values = state.values
+        value = values[variable]
+        pairs = iter(self._deltas[2 * variable + value])
+        became_sat: list[int] = []
+        became_unsat: list[int] = []
+        for clause, delta in zip(pairs, pairs):
+            before = counts[clause]
+            after = before + delta
+            counts[clause] = after
+            if before == 0:  # a zero count can only rise: delta > 0
+                became_sat.append(clause)
+            elif after == 0:
+                became_unsat.append(clause)
+        values[variable] = not value
+        state.apply_transitions(became_sat, became_unsat)
 
 
 class ClausePath(EvaluationPath):
@@ -214,7 +250,7 @@ class ClausePath(EvaluationPath):
     @property
     @abc.abstractmethod
     def assignment(self) -> np.ndarray:
-        """The current assignment (owned by the path)."""
+        """The current assignment, as a fresh boolean array."""
 
     @property
     @abc.abstractmethod
@@ -297,8 +333,7 @@ class BatchClausePath(ClausePath):
         return self._state.n_unsat
 
     def reinit(self, assignment: np.ndarray) -> None:
-        assignment = np.asarray(assignment, dtype=bool).copy()
-        self._state = ClauseState(assignment, self._formula.true_literal_counts(assignment))
+        self._state = ClauseState.for_assignment(self._formula, assignment)
 
     def unsat_clause(self, rank: int) -> int:
         return self._state.unsat_clause(rank)
@@ -312,10 +347,11 @@ class BatchClausePath(ClausePath):
     def flip(self, variable: int) -> None:
         state = self._state
         before = self._formula.clause_satisfaction(state.assignment)
-        state.assignment[variable] = not state.assignment[variable]
-        after = self._formula.clause_satisfaction(state.assignment)
-        state.true_counts = self._formula.true_literal_counts(state.assignment)
+        state.values[variable] = not state.values[variable]
+        assignment = state.assignment
+        after = self._formula.clause_satisfaction(assignment)
+        state.true_counts = self._formula.true_literal_counts(assignment).tolist()
         state.apply_transitions(
-            np.flatnonzero(~before & after),
-            np.flatnonzero(before & ~after),
+            np.flatnonzero(~before & after).tolist(),
+            np.flatnonzero(before & ~after).tolist(),
         )

@@ -93,9 +93,11 @@ class LockstepEvaluator:
     """Per-formula rectangular precomputation driving the lockstep kernel.
 
     The scalar :class:`~repro.sat.incremental.ClauseEvaluator` stores one
-    ragged occurrence list per variable; the lockstep kernel needs the same
-    information as rectangular arrays so a *batch* of (walk, variable)
-    queries is one gather.  Padding conventions:
+    ragged flat occurrence list per variable; the lockstep kernel needs the
+    same information as rectangular arrays so a *batch* of (walk, variable)
+    queries is one gather, and builds them from the scalar lists (memoised
+    per formula) rather than from a second pass over the literals.
+    Padding conventions:
 
     * ``occ_clauses[v]`` — the clauses containing variable ``v`` in
       ascending order, padded with ``n_clauses`` (a trash row index — see
@@ -114,20 +116,19 @@ class LockstepEvaluator:
         self.formula = formula
         scalar = formula.clause_evaluator()
         n, m = formula.n_variables, formula.n_clauses
-        max_occ = max((arr.size for arr in scalar.clauses), default=1)
-        max_occ = max(max_occ, 1)
+        max_occ = max(max((len(row) // 3 for row in scalar.occurrences), default=1), 1)
         self.occ_clauses = np.full((n, max_occ), m, dtype=np.int64)
         self.occ_positive = np.zeros((n, max_occ), dtype=np.int64)
         self.occ_negative = np.zeros((n, max_occ), dtype=np.int64)
-        for variable in range(n):
-            occurrences = scalar.clauses[variable]
-            self.occ_clauses[variable, : occurrences.size] = occurrences
-            self.occ_positive[variable, : occurrences.size] = scalar.positive[variable]
-            self.occ_negative[variable, : occurrences.size] = scalar.negative[variable]
+        for variable, row in enumerate(scalar.occurrences):
+            size = len(row) // 3
+            self.occ_clauses[variable, :size] = row[0::3]
+            self.occ_positive[variable, :size] = row[1::3]
+            self.occ_negative[variable, :size] = row[2::3]
         width = max(len(clause) for clause in formula.clauses)
         self.clause_variables = np.full((m, width), -1, dtype=np.int64)
-        for index, clause in enumerate(formula.clauses):
-            self.clause_variables[index, : len(clause)] = [abs(lit) - 1 for lit in clause]
+        for index, variables in enumerate(scalar.clause_variables):
+            self.clause_variables[index, : len(variables)] = variables
         self.clause_lengths = np.array([len(clause) for clause in formula.clauses], dtype=np.int64)
         # Break eligibility by current polarity: flipping v can only break
         # clause c if v's literal in c is pure and currently true, i.e.
@@ -217,7 +218,7 @@ class LockstepClauseState:
     def remove_clause(self, walk: int, clause: int) -> None:
         """Remove a newly-satisfied clause from one walk (swap-remove).
 
-        Same element moves as ``ClauseState.remove_clause``: the last
+        Same element moves as ``ClauseState.apply_transitions``: the last
         entry replaces the removed one (a no-op self-move when the removed
         entry *is* the last), keeping set orderings bit-identical.
         """

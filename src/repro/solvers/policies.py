@@ -91,7 +91,11 @@ class FlipPolicy(abc.ABC):
 
     @abc.abstractmethod
     def pick(self, path: ClausePath, variables: list[int], rng: np.random.Generator) -> int:
-        """Variable (0-based) of ``variables`` to flip under this policy."""
+        """Variable (0-based) of ``variables`` to flip under this policy.
+
+        ``variables`` is the picked clause's row of the formula's shared
+        ``ClauseEvaluator.clause_variables`` table: read it, never mutate it.
+        """
 
     def notify_flip(self, variable: int, flip_number: int, path: ClausePath) -> None:
         """Observe a committed flip and the post-flip clause state."""

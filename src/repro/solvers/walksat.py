@@ -19,16 +19,19 @@ Shared skeleton (every policy):
 Evaluation paths
 ----------------
 The hot loop consumes a :class:`~repro.sat.incremental.ClausePath` — either
-the *incremental* clause state (per-variable occurrence lists and cached
-per-clause true-literal counts, O(occurrences of the flipped variable) per
-flip) or the *batch* oracle (full re-evaluation through the vectorised
+the *incremental* clause state (per-formula flat ``list[int]`` tables of
+break candidates, make clauses and count deltas, and per-run true-literal
+counts, O(occurrences of the flipped variable) of plain Python per flip)
+or the *batch* oracle (full re-evaluation through the vectorised
 :class:`~repro.sat.cnf.CNFFormula` methods).  The two are exact mirrors:
 for a given seed and policy they present the same clause for the same RNG
 draw and produce bit-identical flip sequences, solutions and restart
 counts — the same contract :class:`~repro.solvers.adaptive_search.AdaptiveSearch`
 pins for its delta kernels (see :mod:`repro.evaluation`).  Policies only
 query the path surface (``break_count``/``make_count``/``n_unsat``), which
-is what extends the contract to the whole variant family.
+is what extends the contract to the whole variant family.  Either way the
+picked clause's variables come from the formula's precomputed
+``ClauseEvaluator.clause_variables`` table, not from its literals.
 """
 
 from __future__ import annotations
@@ -171,6 +174,7 @@ class WalkSAT(LasVegasAlgorithm):
 
         path = self._clause_path()
         policy = self._make_policy()
+        clause_variables = formula.clause_evaluator().clause_variables
         path.reinit(formula.random_assignment(rng))
         policy.start(path)
         flips = 0
@@ -190,9 +194,7 @@ class WalkSAT(LasVegasAlgorithm):
                 continue
 
             clause_index = path.unsat_clause(int(rng.integers(path.n_unsat)))
-            clause = formula.clauses[clause_index]
-            variables = [abs(lit) - 1 for lit in clause]
-            chosen = policy.pick(path, variables, rng)
+            chosen = policy.pick(path, clause_variables[clause_index], rng)
 
             path.flip(chosen)
             flips += 1
@@ -204,7 +206,7 @@ class WalkSAT(LasVegasAlgorithm):
             solved=solved,
             iterations=flips,
             runtime_seconds=0.0,
-            solution=path.assignment.copy() if solved else None,
+            solution=path.assignment if solved else None,
             restarts=restarts,
         )
 

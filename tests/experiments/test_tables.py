@@ -77,6 +77,15 @@ class TestTable5:
                 assert predicted > 0.0
                 assert 0.3 < predicted / measured < 3.5, (key, cores, measured, predicted)
 
+    def test_cores_are_the_config_cores(self, tiny_config, tiny_observations):
+        # Measurements and predictions share config.cores, so every row
+        # cell has a measured counterpart (rows() would KeyError otherwise).
+        table = table5_prediction_comparison(tiny_config, tiny_observations)
+        assert table.cores == tuple(tiny_config.cores)
+        for key in BENCHMARK_KEYS:
+            assert [table.experimental[key].speedup(c) for c in table.cores]
+        assert len(table.rows()[0]) == 2 + len(tiny_config.cores)
+
     def test_paper_families_are_used(self, tiny_config, tiny_observations):
         table = table5_prediction_comparison(tiny_config, tiny_observations)
         assert table.predictions["MS"].family == "shifted_lognormal"

@@ -23,10 +23,37 @@ def _random_formula(seed: int, n_variables: int = 20, n_clauses: int = 85) -> CN
     return random_ksat(n_variables, n_clauses, k=3, rng=np.random.default_rng(seed))
 
 
+def _multiset_formula(seed: int, n_variables: int = 20, n_clauses: int = 85) -> CNFFormula:
+    """Widths 1-5 with variables drawn with replacement: a clause may hold
+    a literal twice (duplicate) or both of a variable's literals (tautology)."""
+    rng = np.random.default_rng(seed)
+    clauses = []
+    for _ in range(n_clauses):
+        width = int(rng.integers(1, 6))
+        variables = rng.integers(1, n_variables + 1, size=width)
+        signs = rng.integers(0, 2, size=width) * 2 - 1
+        clauses.append(tuple(int(v * s) for v, s in zip(variables, signs)))
+    return CNFFormula(n_variables, clauses)
+
+
+#: Formula families of the random-walk tests: distinct-variable 3-SAT and
+#: the multiset family whose multiplicities the flat tables must count.
+FORMULAS = {"3sat": _random_formula, "multiset": _multiset_formula}
+
+
+def test_multiset_formulas_have_duplicates_and_tautologies():
+    for seed in range(4):
+        clauses = _multiset_formula(seed).clauses
+        assert {len(clause) for clause in clauses} == {1, 2, 3, 4, 5}
+        assert any(len(set(clause)) < len(clause) for clause in clauses)
+        assert any(-lit in clause for clause in clauses for lit in clause)
+
+
 class TestClauseEvaluatorExactness:
+    @pytest.mark.parametrize("family", list(FORMULAS))
     @pytest.mark.parametrize("seed", range(4))
-    def test_counts_exact_after_random_walk(self, seed):
-        formula = _random_formula(seed)
+    def test_counts_exact_after_random_walk(self, seed, family):
+        formula = FORMULAS[family](seed)
         rng = np.random.default_rng(1000 + seed)
         evaluator = formula.clause_evaluator()
         assignment = formula.random_assignment(rng)
@@ -44,9 +71,10 @@ class TestClauseEvaluatorExactness:
         )
         assert state.cost == formula.count_unsatisfied(state.assignment)
 
+    @pytest.mark.parametrize("family", list(FORMULAS))
     @pytest.mark.parametrize("seed", range(3))
-    def test_break_and_make_counts_match_oracle(self, seed):
-        formula = _random_formula(seed, n_variables=15, n_clauses=60)
+    def test_break_and_make_counts_match_oracle(self, seed, family):
+        formula = FORMULAS[family](seed, n_variables=15, n_clauses=60)
         rng = np.random.default_rng(2000 + seed)
         evaluator = formula.clause_evaluator()
         state = evaluator.attach(formula.random_assignment(rng))
@@ -110,9 +138,13 @@ class TestClauseEvaluatorExactness:
 class TestPathOrderingInvariant:
     """Both paths keep bit-identical unsatisfied-set orderings."""
 
+    @pytest.mark.parametrize("family", ["planted", "multiset"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_identical_internal_order_under_identical_flips(self, seed):
-        formula, _ = random_planted_ksat(18, 76, rng=np.random.default_rng(seed))
+    def test_identical_internal_order_under_identical_flips(self, seed, family):
+        if family == "planted":
+            formula, _ = random_planted_ksat(18, 76, rng=np.random.default_rng(seed))
+        else:
+            formula = _multiset_formula(seed, n_variables=18, n_clauses=76)
         rng = np.random.default_rng(3000 + seed)
         incremental = IncrementalClausePath(formula.clause_evaluator())
         batch = BatchClausePath(formula)
