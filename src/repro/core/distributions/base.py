@@ -19,7 +19,6 @@ import math
 from typing import Any, ClassVar, Mapping
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["RuntimeDistribution"]
 
@@ -98,6 +97,8 @@ class RuntimeDistribution(abc.ABC):
 
     def quantile(self, q: float) -> float:
         """Inverse CDF at probability ``q`` (numerical bracketing fallback)."""
+        from scipy import optimize
+
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile probability must be in [0, 1], got {q}")
         low, high = self.support()

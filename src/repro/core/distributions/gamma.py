@@ -11,10 +11,9 @@ automatic family selector.
 from __future__ import annotations
 
 import math
-from typing import ClassVar, Mapping
+from typing import Any, ClassVar, Mapping
 
 import numpy as np
-from scipy import special, stats
 
 from repro.core.distributions.base import RuntimeDistribution
 
@@ -55,6 +54,8 @@ class GammaRuntime(RuntimeDistribution):
 
     # ------------------------------------------------------------------
     def pdf(self, t: np.ndarray | float) -> np.ndarray | float:
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         shifted = t - self.x0
         safe = np.where(shifted > 0.0, shifted, 1.0)
@@ -68,6 +69,8 @@ class GammaRuntime(RuntimeDistribution):
         return out if out.ndim else float(out)
 
     def cdf(self, t: np.ndarray | float) -> np.ndarray | float:
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         shifted = np.clip(t - self.x0, 0.0, None)
         out = special.gammainc(self.shape, shifted / self.scale)
@@ -80,6 +83,8 @@ class GammaRuntime(RuntimeDistribution):
         return self.shape * self.scale**2
 
     def quantile(self, q: float) -> float:
+        from scipy import special
+
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile probability must be in [0, 1], got {q}")
         if q == 0.0:
@@ -91,6 +96,8 @@ class GammaRuntime(RuntimeDistribution):
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
         return self.x0 + rng.gamma(shape=self.shape, scale=self.scale, size=size)
 
-    def to_scipy(self) -> stats.rv_continuous:
+    def to_scipy(self) -> Any:
         """Frozen scipy distribution (useful for cross-checks in tests)."""
+        from scipy import stats
+
         return stats.gamma(a=self.shape, scale=self.scale, loc=self.x0)

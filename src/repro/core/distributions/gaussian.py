@@ -14,7 +14,6 @@ import math
 from typing import ClassVar, Mapping
 
 import numpy as np
-from scipy import special
 
 from repro.core.distributions.base import RuntimeDistribution
 
@@ -25,11 +24,15 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _std_norm_cdf(z: np.ndarray | float) -> np.ndarray | float:
+    from scipy import special
+
     return 0.5 * special.erfc(-np.asarray(z, dtype=float) / _SQRT2)
 
 
 def _std_norm_sf(z: np.ndarray | float) -> np.ndarray | float:
     """Survival function 1 - Phi(z), computed without cancellation."""
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(z, dtype=float) / _SQRT2)
 
 
@@ -113,6 +116,8 @@ class TruncatedGaussian(RuntimeDistribution):
         return self.sigma**2 * (1.0 + self._alpha * hazard - hazard * hazard)
 
     def quantile(self, q: float) -> float:
+        from scipy import special
+
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile probability must be in [0, 1], got {q}")
         if q == 0.0:
@@ -126,6 +131,8 @@ class TruncatedGaussian(RuntimeDistribution):
         return self.mu + self.sigma * z
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
+        from scipy import special
+
         # Inverse-CDF sampling keeps the draw count deterministic, which
         # matters for reproducible experiment seeds (rejection sampling
         # would consume a data-dependent number of uniforms).

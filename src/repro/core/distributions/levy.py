@@ -20,7 +20,6 @@ import math
 from typing import ClassVar, Mapping
 
 import numpy as np
-from scipy import special
 
 from repro.core.distributions.base import RuntimeDistribution
 
@@ -60,6 +59,8 @@ class LevyRuntime(RuntimeDistribution):
         return out if out.ndim else float(out)
 
     def cdf(self, t: np.ndarray | float) -> np.ndarray | float:
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         shifted = t - self.x0
         safe = np.where(shifted > 0.0, shifted, 1.0)
@@ -75,10 +76,14 @@ class LevyRuntime(RuntimeDistribution):
         return math.inf
 
     def median(self) -> float:
+        from scipy import special
+
         # erfc(sqrt(c / 2m)) = 1/2  =>  m = c / (2 * erfcinv(1/2)^2)
         return self.x0 + self.scale / (2.0 * float(special.erfcinv(0.5)) ** 2)
 
     def quantile(self, q: float) -> float:
+        from scipy import special
+
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile probability must be in [0, 1], got {q}")
         if q == 0.0:

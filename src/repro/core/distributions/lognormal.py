@@ -15,7 +15,6 @@ import math
 from typing import ClassVar, Mapping
 
 import numpy as np
-from scipy import special
 
 from repro.core.distributions.base import RuntimeDistribution
 
@@ -69,6 +68,8 @@ class LogNormalRuntime(RuntimeDistribution):
         return out if out.ndim else float(out)
 
     def cdf(self, t: np.ndarray | float) -> np.ndarray | float:
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         shifted = t - self.x0
         safe = np.where(shifted > 0.0, shifted, 1.0)
@@ -88,6 +89,8 @@ class LogNormalRuntime(RuntimeDistribution):
         return self.x0 + math.exp(self.mu)
 
     def quantile(self, q: float) -> float:
+        from scipy import special
+
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile probability must be in [0, 1], got {q}")
         if q == 0.0:

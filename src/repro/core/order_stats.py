@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from scipy import integrate, special
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.distributions.base import RuntimeDistribution
 
@@ -64,6 +62,8 @@ def expected_minimum_survival_form(dist: "RuntimeDistribution", n_cores: int) ->
     integrand is monotone decreasing from 1 to 0, which quadrature handles
     well provided the upper bound is placed where the tail has died out.
     """
+    from scipy import integrate
+
     if n_cores < 1:
         raise ValueError(f"number of cores must be >= 1, got {n_cores}")
     low, high = _support_or_raise(dist)
@@ -107,6 +107,8 @@ def expected_minimum_quantile_form(dist: "RuntimeDistribution", n_cores: int) ->
     This form is preferred when the survival integrand is too stiff (very
     heavy tails) but requires an accurate quantile function.
     """
+    from scipy import integrate
+
     if n_cores < 1:
         raise ValueError(f"number of cores must be >= 1, got {n_cores}")
 
@@ -153,6 +155,8 @@ def order_statistic_moment(
 
     ``k = 1`` recovers the minimum used throughout the paper.
     """
+    from scipy import integrate, special
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= k <= n:
@@ -187,6 +191,8 @@ def order_statistic_moment(
 
 def raw_moment(dist: "RuntimeDistribution", order: int = 1) -> float:
     """``E[Y^order]`` by quadrature (used for variance fallbacks)."""
+    from scipy import integrate
+
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     low, high = _support_or_raise(dist)

@@ -21,7 +21,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import integrate, optimize
 
 from repro.core.distributions.base import RuntimeDistribution
 from repro.core.speedup import SpeedupModel
@@ -45,6 +44,8 @@ def expected_runtime_with_cutoff(dist: RuntimeDistribution, cutoff: float) -> fl
     formula ``E[T(c)] = (c * (1 - q) + Integral_0^c (F_Y(c') dc' ... )``,
     equivalently ``(c - Integral_0^c F_Y(t) dt) / q``.
     """
+    from scipy import integrate
+
     if cutoff <= 0.0 or not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     q = float(dist.cdf(cutoff))
@@ -70,6 +71,8 @@ def optimal_cutoff(
     distributions the optimum is the upper bound (restarts do not help); for
     heavy-tailed ones it is an interior point far below the mean.
     """
+    from scipy import optimize
+
     low = max(dist.quantile(lower_quantile), np.finfo(float).tiny)
     high = dist.quantile(upper_quantile)
     if not math.isfinite(high) or high <= low:

@@ -905,7 +905,8 @@ def run_worker(
         waiting for ``meta.json`` to name an open session (job-dir mode) —
         lets workers start before the coordinator, also in a job directory
         an earlier campaign left behind.  A job-dir worker that sees only
-        closed sessions until then exits without serving.
+        closed sessions until then, or that finds a newer session already
+        closed, exits without serving.
     max_units:
         Stop after completing this many units (mostly for tests).
     name:
@@ -1024,13 +1025,20 @@ def _join_job_dir(
 
     A reused directory still names the previous campaign's (closed)
     session until the next coordinator starts, so wait for an open one;
-    ``None`` if none appeared within ``connect_timeout``.
+    ``None`` if none appeared within ``connect_timeout``, or if a session
+    other than the one named at the first read is already closed (it
+    opened and closed between two polls, so this worker missed it).
     """
     deadline = time.monotonic() + connect_timeout
+    first_session = _read_meta(job_dir).get("session")
     while True:
         meta = _read_meta(job_dir)
-        if meta and _session_live(job_dir / "sessions" / meta["session"]):
-            break
+        if meta:
+            session_dir = job_dir / "sessions" / meta["session"]
+            if _session_live(session_dir):
+                break
+            if meta["session"] != first_session and (session_dir / "CLOSED").exists():
+                return None
         if time.monotonic() >= deadline:
             if not meta:
                 raise FileNotFoundError(

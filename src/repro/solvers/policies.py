@@ -165,31 +165,28 @@ class NoveltyPolicy(FlipPolicy):
 
     def __init__(self, noise: float, n_variables: int) -> None:
         self.noise = noise
-        self._last_flip = np.full(n_variables, -1, dtype=np.int64)
+        self._last_flip = [-1] * n_variables
 
     def start(self, path: ClausePath) -> None:
         # Ages refer to the current trajectory; a restart voids them.
-        self._last_flip.fill(-1)
-
-    def _ranked(self, path: ClausePath, variables: list[int]) -> list[int]:
-        scores = [path.break_count(var) - path.make_count(var) for var in variables]
-        return sorted(
-            range(len(variables)),
-            key=lambda i: (scores[i], int(self._last_flip[variables[i]]), i),
-        )
+        self._last_flip = [-1] * len(self._last_flip)
 
     def pick(self, path: ClausePath, variables: list[int], rng: np.random.Generator) -> int:
         if len(variables) == 1:
             return variables[0]
-        order = self._ranked(path, variables)
-        best = variables[order[0]]
-        ages = self._last_flip[variables]
-        youngest_age = int(ages.max())
-        if youngest_age < 0 or best != variables[int(ages.argmax())]:
+        last_flip = self._last_flip
+        ages = [last_flip[var] for var in variables]
+        scores = [path.break_count(var) - path.make_count(var) for var in variables]
+        # (score, age, position) tuples sort by score, then oldest, then position.
+        ranked = sorted(zip(scores, ages, range(len(variables))))
+        best = variables[ranked[0][2]]
+        youngest_age = max(ages)
+        # ``ages.index`` finds the first maximum, the position ``argmax`` picks.
+        if youngest_age < 0 or best != variables[ages.index(youngest_age)]:
             # Nothing flipped yet, or the best variable is not the youngest.
             return best
         if rng.random() < self.noise:
-            return variables[order[1]]
+            return variables[ranked[1][2]]
         return best
 
     def notify_flip(self, variable: int, flip_number: int, path: ClausePath) -> None:

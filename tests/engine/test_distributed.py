@@ -15,10 +15,12 @@ import json
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.engine.distributed as distributed
 from repro.csp.problems import NQueensProblem
 from repro.engine.core import collect_batch, resolve_backend, run_race
 from repro.engine.distributed import (
@@ -26,6 +28,7 @@ from repro.engine.distributed import (
     ProtocolError,
     UnitLedger,
     _decode,
+    _JobDirListener,
     _encode,
     _join_job_dir,
     _recv,
@@ -303,6 +306,60 @@ class TestJobDirEquivalence:
             _join_workers(workers)
             np.testing.assert_array_equal(batch.iterations, reference.iterations)
             np.testing.assert_array_equal(batch.seeds, reference.seeds)
+
+    @staticmethod
+    def _join_with_sessions_between_polls(monkeypatch, job_dir, between_polls):
+        """``_join_job_dir`` with ``between_polls[i]()`` run in place of its i-th sleep.
+
+        Replacing the sleep fixes the interleaving of the worker's polls
+        and the coordinators' sessions, so the race is forced, not hoped for.
+        """
+        sleeps = []
+
+        def sleep(seconds):
+            between_polls[len(sleeps)]()
+            sleeps.append(seconds)
+
+        monkeypatch.setattr(
+            distributed, "time", SimpleNamespace(monotonic=time.monotonic, sleep=sleep)
+        )
+        pipe = _join_job_dir(job_dir, "late", poll_interval=0.01, connect_timeout=30.0)
+        return pipe, len(sleeps)
+
+    def test_worker_that_missed_a_whole_session_exits_at_once(self, tmp_path, monkeypatch):
+        """A session that opened and closed between two polls ends the wait.
+
+        Regression: a worker whose first poll came before the session
+        opened waited out ``connect_timeout`` (30 s) for another one, so a
+        late worker thread of a finished batch outlived its test's join.
+        """
+        job_dir = tmp_path / "jobs"
+
+        def whole_session():
+            _JobDirListener(job_dir, "missed", poll_interval=0.01).close()
+
+        pipe, polls = self._join_with_sessions_between_polls(
+            monkeypatch, job_dir, [whole_session]
+        )
+        assert pipe is None
+        assert polls == 1
+        assert [p.name for p in (job_dir / "sessions" / "missed").iterdir()] == ["CLOSED"]
+
+    def test_worker_in_a_reused_dir_waits_past_the_old_session(self, tmp_path, monkeypatch):
+        """The closed session named at the first poll is not a missed one."""
+        job_dir = tmp_path / "jobs"
+        _JobDirListener(job_dir, "old", poll_interval=0.01).close()
+
+        def next_session():
+            _JobDirListener(job_dir, "next", poll_interval=0.01)
+
+        pipe, polls = self._join_with_sessions_between_polls(
+            monkeypatch, job_dir, [lambda: None, next_session]
+        )
+        assert pipe is not None
+        assert polls == 2
+        joined = [p.name for p in (job_dir / "sessions" / "next").iterdir()]
+        assert len(joined) == 1 and joined[0].startswith("late-")
 
 
 class TestWorkerDeath:

@@ -5,10 +5,14 @@ and unpickles one :class:`repro.engine.RunTask` per run.  Unpickling a
 solver must not drag in SciPy or the predictor package :mod:`repro.core`
 (about a second of import per worker), so ``repro/__init__`` resolves its
 public names lazily and the Luby sequence lives in a NumPy-only leaf
-module.  Both facts are checked in a fresh interpreter, where
-``sys.modules`` starts clean.
+module.  A spawned worker also re-imports its parent's ``__main__``, and a
+fleet worker *is* ``python -m repro.cli worker``, so the entry modules must
+not load SciPy either: no ``src/repro`` module imports it at module level,
+only inside the functions that call it.  Imports are checked in a fresh
+interpreter, where ``sys.modules`` starts clean.
 """
 
+import ast
 import os
 import pickle
 import subprocess
@@ -16,6 +20,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 from repro.csp.problems import MagicSquareProblem
@@ -53,6 +58,39 @@ def test_unpickling_solver_tasks_imports_neither_scipy_nor_core():
         RunTask(AdaptiveSearch(MagicSquareProblem(4), AdaptiveSearchConfig(max_iterations=200)), 1, 2),
     ]
     assert _fresh_python(_WORKER, pickle.dumps(tasks)) == ""
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.cli", "repro.service", "repro.campaign.controller", "repro.stats.online"]
+)
+def test_entry_modules_import_no_scipy(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_python(code) == "[]"
+
+
+def _module_level_imports(tree: ast.Module):
+    """Import statements run at import time: everywhere but inside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in _module_level_imports(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""] if node.level == 0 else []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_every_public_name_resolves():
