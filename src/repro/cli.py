@@ -43,6 +43,9 @@ Subcommands
     campaign at any ``--scale`` — printing the JSON plan by default,
     writing a service submission with ``--submission``, or executing the
     campaign with ``--run`` on any backend/controller.
+
+Exit codes: 0 success, 1 a run or verification failed, 2 a usage error
+(a bad flag or input, printed as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from repro.campaign import (
 from repro.core.prediction import predict_speedup_curve, predict_speedup_empirical
 from repro.engine.backends import BatchExecutor
 from repro.engine.core import BACKENDS, resolve_backend
-from repro.engine.distributed import DistributedBackend, ProtocolError, run_worker
+from repro.engine.distributed import DistributedBackend, ProtocolError, WorkerArgumentError, run_worker
 from repro.engine.lockstep import LockstepBackend
 from repro.engine.progress import BatchProgress
 from repro.experiments.config import PROFILES, SAT_FAMILIES, ExperimentConfig
@@ -83,28 +86,51 @@ from repro.multiwalk.observations import atomic_write_bytes
 __all__ = ["build_parser", "main"]
 
 
+class _UsageError(Exception):
+    """A bad flag or input: :func:`main` prints it as one ``error:`` line, exit 2."""
+
+
+@contextlib.contextmanager
+def _setup(*errors: type[Exception]) -> Iterator[None]:
+    """Turn a ``ValueError`` (or one of ``errors``) raised while a command
+    sets up into a usage error.  Solver runs start outside these blocks, so
+    a ``ValueError`` raised during a run still surfaces as a traceback."""
+    try:
+        yield
+    except (ValueError, *errors) as exc:
+        # str() of a KeyError is the repr of its message.
+        raise _UsageError(exc.args[0] if isinstance(exc, KeyError) else exc) from exc
+
+
+#: ``(flag dest, ExperimentConfig field)`` pairs a given flag overrides.
+_CONFIG_OVERRIDES = (
+    ("runs", "n_sequential_runs"),
+    ("seed", "base_seed"),
+    ("sat_family", "sat_family"),
+    ("sat_policy", "sat_policy"),
+    ("sat_dimacs", "sat_dimacs"),
+    ("max_iterations", "max_iterations"),
+)
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = PROFILES[args.profile]()
-    overrides = {}
-    if getattr(args, "runs", None):
-        overrides["n_sequential_runs"] = args.runs
-    if getattr(args, "seed", None) is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "sat_family", None) is not None:
-        overrides["sat_family"] = args.sat_family
-    if getattr(args, "sat_policy", None) is not None:
-        overrides["sat_policy"] = args.sat_policy
-    if getattr(args, "sat_dimacs", None) is not None:
-        overrides["sat_dimacs"] = args.sat_dimacs
-    if getattr(args, "max_iterations", None) is not None:
-        overrides["max_iterations"] = args.max_iterations
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _CONFIG_OVERRIDES
+        if getattr(args, flag, None) is not None
+    }
     # dataclasses.replace keeps every other profile field (instance sizes,
-    # SAT workload parameters, core counts) exactly as the profile set it.
-    return dataclasses.replace(config, **overrides) if overrides else config
+    # SAT workload parameters, core counts) exactly as the profile set it,
+    # and re-runs the config's own value checks on the overrides.
+    with _setup():
+        return dataclasses.replace(PROFILES[args.profile](), **overrides)
 
 
-def _add_sat_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    """SAT-workload flags shared by the ``run`` and ``campaign`` subcommands."""
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    """Profile and SAT-workload flags shared by the ``run`` and ``campaign`` subcommands."""
+    parser.add_argument("--profile", choices=tuple(PROFILES), default="quick")
+    parser.add_argument("--runs", type=int, default=None, help="override sequential run count")
+    parser.add_argument("--seed", type=int, default=None, help="override the base seed")
     parser.add_argument(
         "--sat-family",
         choices=SAT_FAMILIES,
@@ -126,6 +152,25 @@ def _add_sat_workload_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="NAME",
         help="bundled DIMACS instance used with --sat-family dimacs "
         f"(one of: {', '.join(bundled_instance_names())})",
+    )
+
+
+def _add_controller_arguments(parser: argparse.ArgumentParser) -> None:
+    """Campaign flags shared by ``campaign`` and ``recipe generate``."""
+    parser.add_argument(
+        "--controller",
+        choices=CONTROLLER_NAMES,
+        default="off",
+        help="campaign controller: off (classic batches, default), static "
+        "(same runs, plan recorded) or adaptive (live re-planning from "
+        "streaming censoring-aware fits)",
+    )
+    parser.add_argument(
+        "--report",
+        type=str,
+        default=None,
+        metavar="FILE",
+        help="write the campaign report (run streams + decision log) as JSON",
     )
 
 
@@ -206,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list the reproducible tables and figures")
+    list_parser = subparsers.add_parser("list", help="list the reproducible tables and figures")
+    list_parser.set_defaults(handler=_command_list)
 
     run_parser = subparsers.add_parser("run", help="run one or more experiments")
     run_parser.add_argument(
@@ -214,11 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="experiment ids (e.g. table5 figure9) or 'all'",
     )
-    run_parser.add_argument("--profile", choices=tuple(PROFILES), default="quick")
-    run_parser.add_argument("--runs", type=int, default=None, help="override sequential run count")
-    run_parser.add_argument("--seed", type=int, default=None, help="override the base seed")
-    _add_sat_workload_arguments(run_parser)
+    _add_config_arguments(run_parser)
     _add_engine_arguments(run_parser)
+    run_parser.set_defaults(handler=_command_run)
 
     predict_parser = subparsers.add_parser(
         "predict", help="predict multi-walk speed-ups from observed runtimes"
@@ -238,34 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     predict_parser.add_argument(
         "--empirical", action="store_true", help="use the nonparametric (empirical) predictor"
     )
+    predict_parser.set_defaults(handler=_command_predict)
 
     campaign_parser = subparsers.add_parser(
         "campaign", help="collect the sequential solver campaigns used by the experiments"
     )
-    campaign_parser.add_argument("--profile", choices=tuple(PROFILES), default="quick")
-    campaign_parser.add_argument("--runs", type=int, default=None)
-    campaign_parser.add_argument("--seed", type=int, default=None)
     campaign_parser.add_argument("--progress", action="store_true", help="print per-run progress")
-    campaign_parser.add_argument(
-        "--controller",
-        choices=CONTROLLER_NAMES,
-        default="off",
-        help="campaign controller: off (classic batches, default), static "
-        "(same runs, plan recorded) or adaptive (live re-planning from "
-        "streaming censoring-aware fits)",
-    )
+    _add_controller_arguments(campaign_parser)
     campaign_parser.add_argument(
         "--dry-run",
         action="store_true",
         help="print the resolved stage DAG, per-stage seed blocks and the "
         "static plan without executing anything",
-    )
-    campaign_parser.add_argument(
-        "--report",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the campaign report (run streams + decision log) as JSON",
     )
     campaign_parser.add_argument(
         "--replay",
@@ -290,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="override the per-run iteration/flip budget (censoring threshold)",
     )
-    _add_sat_workload_arguments(campaign_parser)
+    _add_config_arguments(campaign_parser)
     _add_engine_arguments(campaign_parser)
+    campaign_parser.set_defaults(handler=_command_campaign)
 
     worker_parser = subparsers.add_parser(
         "worker", help="join a distributed campaign and execute its work units"
@@ -358,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cadence of lease-refreshing heartbeats while a unit executes "
         "(0 disables, default: 5)",
     )
+    worker_parser.set_defaults(handler=_command_worker)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -408,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for up to this long before cancelling (default: 10)",
     )
     _add_engine_arguments(serve_parser)
+    serve_parser.set_defaults(handler=_command_serve)
 
     recipe_parser = subparsers.add_parser(
         "recipe",
@@ -429,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     recipe_profile.add_argument(
         "--description", type=str, default="", help="one-line description stored in the recipe"
     )
+    recipe_profile.set_defaults(handler=_command_recipe_profile)
 
     recipe_validate = recipe_sub.add_parser(
         "validate", help="strictly validate recipe files (or bundled recipe names)"
@@ -436,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     recipe_validate.add_argument(
         "recipes", nargs="+", metavar="RECIPE", help="recipe file paths or bundled recipe names"
     )
+    recipe_validate.set_defaults(handler=_command_recipe_validate)
 
     recipe_describe = recipe_sub.add_parser(
         "describe", help="summarise a recipe's stages, fitted families and instance mix"
@@ -443,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     recipe_describe.add_argument(
         "recipe", metavar="RECIPE", help="recipe file path or bundled recipe name"
     )
+    recipe_describe.set_defaults(handler=_command_recipe_describe)
 
     recipe_generate = recipe_sub.add_parser(
         "generate",
@@ -475,116 +509,65 @@ def build_parser() -> argparse.ArgumentParser:
     recipe_generate.add_argument(
         "--run", action="store_true", help="execute the generated campaign now"
     )
-    recipe_generate.add_argument(
-        "--controller",
-        choices=CONTROLLER_NAMES,
-        default="off",
-        help="campaign controller used with --run / --submission (default: off)",
-    )
-    recipe_generate.add_argument(
-        "--report",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="with --run: write the campaign report (profile it again to close the loop)",
-    )
+    _add_controller_arguments(recipe_generate)
     _add_engine_arguments(recipe_generate)
+    recipe_generate.set_defaults(handler=_command_recipe_generate)
 
     return parser
 
 
-def _command_list() -> int:
+
+
+def _command_list(args: argparse.Namespace) -> int:
     for name, description in list_experiments():
         print(f"{name:<10s} {description}")
     return 0
 
 
-def _validate_engine_args(args: argparse.Namespace) -> str | None:
-    """Reject flag combinations the engine would refuse, with a CLI-style error."""
-    if args.backend == "serial" and args.workers not in (None, 1):
-        return "--workers requires a parallel backend; add --backend thread or --backend process"
-    if args.workers is not None and args.workers < 1:
-        return f"--workers must be >= 1, got {args.workers}"
-    if args.backend == "lockstep":
-        if args.workers is not None:
-            return (
-                "--workers does not apply to --backend lockstep (it runs "
-                "in-process); size the batch axis with --lockstep-width"
-            )
-        if args.lockstep_width is not None and args.lockstep_width < 1:
-            return f"--lockstep-width must be >= 1, got {args.lockstep_width}"
-    elif args.lockstep_width is not None:
-        return "--lockstep-width requires --backend lockstep"
-    if args.backend == "distributed":
-        if args.workers is not None:
-            return (
-                "--workers does not apply to --backend distributed; worker count "
-                "is however many 'worker' processes connect"
-            )
-        if (args.coordinator is None) == (args.job_dir is None):
-            return "--backend distributed needs exactly one of --coordinator or --job-dir"
-        if args.unit_size is not None and args.unit_size < 1:
-            return f"--unit-size must be >= 1, got {args.unit_size}"
-        if args.batch_timeout is not None and args.batch_timeout <= 0:
-            return f"--batch-timeout must be positive, got {args.batch_timeout:g}"
-        if args.worker_token is not None and args.coordinator is None:
-            return (
-                "--worker-token requires --coordinator (the job directory's "
-                "trust boundary is its filesystem permissions)"
-            )
-    elif (
-        args.coordinator is not None
-        or args.job_dir is not None
-        or args.unit_size is not None
-        or args.batch_timeout is not None
-        or args.worker_token is not None
-    ):
-        # Silently ignoring tuning flags would hide misconfiguration (e.g. a
-        # user expecting --batch-timeout to bound a process-backend campaign).
-        return (
-            "--coordinator/--job-dir/--unit-size/--batch-timeout/--worker-token "
-            "require --backend distributed"
-        )
-    return None
-
-
-def _reject_engine_args(args: argparse.Namespace) -> bool:
-    """Print the engine-flag error, if any; true when the command must exit 2."""
-    error = _validate_engine_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-    return error is not None
-
-
-def _engine_backend(args: argparse.Namespace) -> str | BatchExecutor:
-    """Build the backend spec passed to the engine from validated CLI flags.
-
-    Distributed campaigns need one *configured instance* shared by every
-    batch of the invocation, so the coordinator socket (or job directory)
-    persists across batches and workers stay connected in between.
-    """
-    if args.backend == "lockstep" and args.lockstep_width is not None:
-        return LockstepBackend(width=args.lockstep_width)
-    if args.backend != "distributed":
-        return args.backend
-    return DistributedBackend(
-        coordinator=args.coordinator,
-        job_dir=args.job_dir,
-        unit_size=args.unit_size if args.unit_size is not None else 4,
-        batch_timeout=args.batch_timeout,
-        auth_token=args.worker_token,
-    )
+#: Engine flags only ``--backend distributed`` reads.
+_DISTRIBUTED_FLAGS = ("coordinator", "job_dir", "unit_size", "batch_timeout", "worker_token")
 
 
 @contextlib.contextmanager
 def _engine(args: argparse.Namespace) -> Iterator[dict]:
     """Engine keyword arguments (``backend``, ``workers``) for one command.
 
-    The flags must have passed :func:`_validate_engine_args`.  A backend
-    instance built here is closed on exit; closing a distributed backend
-    shuts its coordinator down, which lets connected workers exit cleanly.
+    The CLI checks only which backend a flag belongs to; the engine's
+    constructors check the values.  Distributed campaigns need one
+    *configured instance* shared by every batch of the invocation, so the
+    coordinator socket (or job directory) persists across batches and
+    workers stay connected in between.  A backend instance built here is
+    closed on exit; closing a distributed backend shuts its coordinator
+    down, which lets connected workers exit cleanly.
     """
-    backend = _engine_backend(args)
+    if args.lockstep_width is not None and args.backend != "lockstep":
+        raise _UsageError("--lockstep-width requires --backend lockstep")
+    if args.backend != "distributed" and any(
+        getattr(args, flag) is not None for flag in _DISTRIBUTED_FLAGS
+    ):
+        # Silently ignoring tuning flags would hide misconfiguration (e.g. a
+        # user expecting --batch-timeout to bound a process-backend campaign).
+        raise _UsageError(
+            "--coordinator/--job-dir/--unit-size/--batch-timeout/--worker-token "
+            "require --backend distributed"
+        )
+    with _setup():
+        if args.backend == "distributed":
+            backend = DistributedBackend(
+                coordinator=args.coordinator,
+                job_dir=args.job_dir,
+                workers=args.workers,
+                unit_size=args.unit_size if args.unit_size is not None else 4,
+                batch_timeout=args.batch_timeout,
+                auth_token=args.worker_token,
+            )
+        else:
+            # A named backend is resolved again by each campaign; resolving
+            # it here checks --workers up front and starts no pool.
+            resolve_backend(args.backend, args.workers).close()
+            backend = args.backend
+            if args.lockstep_width is not None:
+                backend = LockstepBackend(width=args.lockstep_width)
     try:
         yield {"backend": backend, "workers": args.workers if isinstance(backend, str) else None}
     finally:
@@ -593,16 +576,11 @@ def _engine(args: argparse.Namespace) -> Iterator[dict]:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if _reject_engine_args(args):
-        return 2
     config = _config_from_args(args)
-    names = list(args.experiments)
-    if names == ["all"]:
-        names = list(EXPERIMENTS)
+    names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiments: {unknown}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown experiments: {unknown}")
     # Collect each observation campaign at most once, with the engine flags.
     campaigns: dict[str, object] = {}
     with _engine(args) as engine:
@@ -618,25 +596,50 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_values(source: str) -> np.ndarray:
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(source).read_text()
-    values = [float(token) for token in text.split()]
-    if not values:
-        raise SystemExit("no runtime values found in the input")
-    return np.asarray(values, dtype=float)
-
-
 def _command_predict(args: argparse.Namespace) -> int:
-    values = _read_values(args.input)
-    if args.empirical:
-        result = predict_speedup_empirical(values, args.cores)
-    else:
-        result = predict_speedup_curve(values, args.cores, family=args.family)
+    # Predicting runs no solver, so every failure here is bad input: an
+    # unreadable file, a non-numeric token, a sample no family fits, a bad
+    # core count or (the KeyError) an unknown --family.
+    with _setup(OSError, KeyError):
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+        values = np.asarray([float(token) for token in text.split()], dtype=float)
+        if values.size == 0:
+            raise ValueError("no runtime values found in the input")
+        if args.empirical:
+            result = predict_speedup_empirical(values, args.cores)
+        else:
+            result = predict_speedup_curve(values, args.cores, family=args.family)
     print(result.summary())
     return 0
+
+
+def _load_report(path: str) -> CampaignReport:
+    try:
+        return CampaignReport.load(path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot load report: {exc}") from exc
+
+
+def _run_stages(args: argparse.Namespace, engine: dict, stages, **options) -> CampaignReport | None:
+    """Run a campaign under ``--controller``; ``None`` when it fails, after
+    saving the partial report to ``--report``."""
+    try:
+        return run_campaign(stages, controller=args.controller, **engine, **options)
+    except CampaignError as exc:
+        print(f"error: campaign failed: {exc}", file=sys.stderr)
+        if args.report is not None:
+            exc.report.save(args.report)
+            print(f"partial report written to {args.report}", file=sys.stderr)
+        return None
+
+
+def _print_progress(event: BatchProgress) -> None:
+    status = "solved" if event.result.solved else "censored"
+    print(
+        f"  run {event.completed}/{event.total} ({event.fraction:.0%}) "
+        f"{status} after {event.result.iterations} iterations",
+        file=sys.stderr,
+    )
 
 
 def _print_dry_run(report: CampaignReport) -> None:
@@ -661,12 +664,9 @@ def _print_dry_run(report: CampaignReport) -> None:
 
 def _command_campaign(args: argparse.Namespace) -> int:
     if args.replay is not None:
+        report = _load_report(args.replay)
         try:
-            report = CampaignReport.load(args.replay)
             verified = verify_report(report)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load report: {exc}", file=sys.stderr)
-            return 2
         except ReplayError as exc:
             print(f"replay FAILED: {exc}", file=sys.stderr)
             return 1
@@ -676,85 +676,48 @@ def _command_campaign(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if _reject_engine_args(args):
-        return 2
     config = _config_from_args(args)
     stages = campaign_stages(config)
     if args.stages is not None:
-        try:
+        with _setup():
             stages = select_stages(stages, args.stages)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.dry_run:
-        report = run_campaign(stages, controller=args.controller, dry_run=True)
-        _print_dry_run(report)
-        if args.report is not None:
-            report.save(args.report)
-        return 0
-
-    progress = None
-    if args.progress:
-
-        def progress(event: BatchProgress) -> None:
-            status = "solved" if event.result.solved else "censored"
-            print(
-                f"  run {event.completed}/{event.total} ({event.fraction:.0%}) "
-                f"{status} after {event.result.iterations} iterations",
-                file=sys.stderr,
-            )
-
-    try:
-        with _engine(args) as engine:
-            report = run_campaign(
+    # The engine is built before a dry run too, so its flags are checked.
+    with _engine(args) as engine:
+        if args.dry_run:
+            report = run_campaign(stages, controller=args.controller, dry_run=True)
+            _print_dry_run(report)
+        else:
+            report = _run_stages(
+                args,
+                engine,
                 stages,
-                controller=args.controller,
-                progress=progress,
+                progress=_print_progress if args.progress else None,
                 cache=observation_cache(args.cache_dir),
-                **engine,
             )
-    except CampaignError as exc:
-        print(f"error: campaign failed: {exc}", file=sys.stderr)
-        if args.report is not None:
-            exc.report.save(args.report)
-            print(f"partial report written to {args.report}", file=sys.stderr)
-        return 1
-
-    observations = report.observations()
-    if args.controller != "off":
-        print(
-            f"controller={args.controller}: {len(report.decisions)} decisions "
-            f"recorded across {len(report.stages)} stages",
-            file=sys.stderr,
-        )
-    for key in canonical_emit_order(stages):
-        if key not in observations:
-            continue
-        batch = observations[key]
-        print(
-            f"{batch.label:<12s} runs={batch.n_runs:<5d} "
-            f"success-rate={batch.success_rate():.2%}"
-        )
+            if report is None:
+                return 1
+            if args.controller != "off":
+                print(
+                    f"controller={args.controller}: {len(report.decisions)} decisions "
+                    f"recorded across {len(report.stages)} stages",
+                    file=sys.stderr,
+                )
+            observations = report.observations()
+            for key in canonical_emit_order(stages):
+                if key in observations:
+                    batch = observations[key]
+                    print(
+                        f"{batch.label:<12s} runs={batch.n_runs:<5d} "
+                        f"success-rate={batch.success_rate():.2%}"
+                    )
     if args.report is not None:
         report.save(args.report)
     return 0
 
 
 def _command_worker(args: argparse.Namespace) -> int:
-    if (args.connect is None) == (args.job_dir is None):
-        print("error: worker needs exactly one of --connect or --job-dir", file=sys.stderr)
-        return 2
-    if args.backend == "serial" and args.workers not in (None, 1):
-        print("error: --workers requires --backend thread or --backend process", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.token is not None and args.connect is None:
-        print("error: --token requires --connect (socket transport)", file=sys.stderr)
-        return 2
-    executor = resolve_backend(args.backend, args.workers)
+    with _setup():
+        executor = resolve_backend(args.backend, args.workers)
     try:
         stats = run_worker(
             coordinator=args.connect,
@@ -767,6 +730,8 @@ def _command_worker(args: argparse.Namespace) -> int:
             token=args.token,
             heartbeat_seconds=args.heartbeat_seconds,
         )
+    except WorkerArgumentError as exc:
+        raise _UsageError(exc) from exc
     except ProtocolError as exc:
         # Version mismatch or a refused handshake (e.g. bad --token): a
         # worker that cannot join must exit loudly, not crash-loop.
@@ -795,125 +760,104 @@ def _load_recipe_arg(value: str):
     )
 
 
-def _command_recipe(args: argparse.Namespace) -> int:
+def _command_recipe_profile(args: argparse.Namespace) -> int:
     import json
 
-    from repro.recipes import (
-        ProfileError,
-        RecipeError,
-        describe_campaign,
-        generate_stages,
-        generate_submission,
-        profile_report,
-    )
+    from repro.recipes import ProfileError, profile_report
 
-    if args.recipe_command == "profile":
-        try:
-            report = CampaignReport.load(args.report)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load report: {exc}", file=sys.stderr)
-            return 2
-        try:
-            recipe = profile_report(report, name=args.name, description=args.description)
-        except ProfileError as exc:
-            print(f"error: cannot profile report: {exc}", file=sys.stderr)
-            return 1
-        if args.out is not None:
-            recipe.save(args.out)
-            print(
-                f"recipe {recipe.name!r} written to {args.out} "
-                f"({len(recipe.stages)} stages, "
-                f"{recipe.source['n_observations']} observations profiled)",
-                file=sys.stderr,
-            )
-        else:
-            print(json.dumps(recipe.as_dict(), indent=2, sort_keys=True))
-        return 0
-
-    if args.recipe_command == "validate":
-        failures = 0
-        for value in args.recipes:
-            try:
-                recipe = _load_recipe_arg(value)
-            except RecipeError as exc:
-                print(f"{value}: INVALID: {exc}")
-                failures += 1
-                continue
-            print(f"{value}: ok ({recipe.name!r}, {len(recipe.stages)} stages)")
-        return 1 if failures else 0
-
+    report = _load_report(args.report)
     try:
-        recipe = _load_recipe_arg(args.recipe)
-    except RecipeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.recipe_command == "describe":
-        print(f"recipe {recipe.name}: {recipe.description or '(no description)'}")
-        for field, value in sorted(recipe.source.items()):
-            print(f"  source.{field} = {value}")
-        for stage in recipe.stages:
-            instance = stage.instance
-            if instance.workload == "csp":
-                what = f"{instance.problem} size={instance.size}"
-            elif instance.sat_family == "dimacs":
-                what = f"dimacs {instance.dimacs} [{instance.policy}]"
-            else:
-                what = (
-                    f"{instance.sat_family} {instance.k}-SAT "
-                    f"{instance.n_variables}@{instance.clause_ratio:g} [{instance.policy}]"
-                )
-            params = ", ".join(
-                f"{name}={value:.4g}" for name, value in sorted(stage.runtime.params.items())
-            )
-            after = ",".join(stage.after) if stage.after else "-"
-            print(
-                f"{stage.key:<14s} {what:<36s} {stage.runtime.family}({params}) "
-                f"censoring={stage.censoring_rate:.0%} quota={stage.quota} "
-                f"budget={stage.budget} after={after}"
-            )
-        return 0
-
-    # recipe generate
-    if _reject_engine_args(args):
-        return 2
-    try:
-        plan = describe_campaign(recipe, scale=args.scale, base_seed=args.seed)
-    except RecipeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    plan_text = json.dumps(plan, indent=2, sort_keys=True) + "\n"
-    if args.out is not None:
-        atomic_write_bytes(Path(args.out), plan_text.encode())
-        print(f"campaign plan written to {args.out}", file=sys.stderr)
-    elif not args.run:
-        sys.stdout.write(plan_text)
-    if args.submission is not None:
-        try:
-            submission = generate_submission(
-                recipe, scale=args.scale, base_seed=args.seed, controller=args.controller
-            )
-        except RecipeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        submission_text = json.dumps(submission, indent=2, sort_keys=True) + "\n"
-        atomic_write_bytes(Path(args.submission), submission_text.encode())
-        print(f"service submission written to {args.submission}", file=sys.stderr)
-    if not args.run:
-        return 0
-
-    stages = generate_stages(recipe, scale=args.scale, base_seed=args.seed)
-    try:
-        with _engine(args) as engine:
-            report = run_campaign(
-                stages, controller=args.controller, cache=args.cache_dir, **engine
-            )
-    except CampaignError as exc:
-        print(f"error: generated campaign failed: {exc}", file=sys.stderr)
-        if args.report is not None:
-            exc.report.save(args.report)
-            print(f"partial report written to {args.report}", file=sys.stderr)
+        recipe = profile_report(report, name=args.name, description=args.description)
+    except ProfileError as exc:
+        print(f"error: cannot profile report: {exc}", file=sys.stderr)
         return 1
+    if args.out is not None:
+        recipe.save(args.out)
+        print(
+            f"recipe {recipe.name!r} written to {args.out} "
+            f"({len(recipe.stages)} stages, "
+            f"{recipe.source['n_observations']} observations profiled)",
+            file=sys.stderr,
+        )
+    else:
+        print(json.dumps(recipe.as_dict(), indent=2, sort_keys=True))
+    return 0
+
+
+def _command_recipe_validate(args: argparse.Namespace) -> int:
+    from repro.recipes import RecipeError
+
+    failures = 0
+    for value in args.recipes:
+        try:
+            recipe = _load_recipe_arg(value)
+        except RecipeError as exc:
+            print(f"{value}: INVALID: {exc}")
+            failures += 1
+            continue
+        print(f"{value}: ok ({recipe.name!r}, {len(recipe.stages)} stages)")
+    return 1 if failures else 0
+
+
+def _command_recipe_describe(args: argparse.Namespace) -> int:
+    with _setup():
+        recipe = _load_recipe_arg(args.recipe)
+    print(f"recipe {recipe.name}: {recipe.description or '(no description)'}")
+    for field, value in sorted(recipe.source.items()):
+        print(f"  source.{field} = {value}")
+    for stage in recipe.stages:
+        instance = stage.instance
+        if instance.workload == "csp":
+            what = f"{instance.problem} size={instance.size}"
+        elif instance.sat_family == "dimacs":
+            what = f"dimacs {instance.dimacs} [{instance.policy}]"
+        else:
+            what = (
+                f"{instance.sat_family} {instance.k}-SAT "
+                f"{instance.n_variables}@{instance.clause_ratio:g} [{instance.policy}]"
+            )
+        params = ", ".join(
+            f"{name}={value:.4g}" for name, value in sorted(stage.runtime.params.items())
+        )
+        after = ",".join(stage.after) if stage.after else "-"
+        print(
+            f"{stage.key:<14s} {what:<36s} {stage.runtime.family}({params}) "
+            f"censoring={stage.censoring_rate:.0%} quota={stage.quota} "
+            f"budget={stage.budget} after={after}"
+        )
+    return 0
+
+
+def _command_recipe_generate(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.recipes import describe_campaign, generate_stages, generate_submission
+
+    # The engine is built even without --run, so its flags are checked.
+    with _engine(args) as engine:
+        with _setup():
+            recipe = _load_recipe_arg(args.recipe)
+            plan = describe_campaign(recipe, scale=args.scale, base_seed=args.seed)
+            if args.submission is not None:
+                submission = generate_submission(
+                    recipe, scale=args.scale, base_seed=args.seed, controller=args.controller
+                )
+        plan_text = json.dumps(plan, indent=2, sort_keys=True) + "\n"
+        if args.out is not None:
+            atomic_write_bytes(Path(args.out), plan_text.encode())
+            print(f"campaign plan written to {args.out}", file=sys.stderr)
+        elif not args.run:
+            sys.stdout.write(plan_text)
+        if args.submission is not None:
+            submission_text = json.dumps(submission, indent=2, sort_keys=True) + "\n"
+            atomic_write_bytes(Path(args.submission), submission_text.encode())
+            print(f"service submission written to {args.submission}", file=sys.stderr)
+        if not args.run:
+            return 0
+        stages = generate_stages(recipe, scale=args.scale, base_seed=args.seed)
+        report = _run_stages(args, engine, stages, cache=args.cache_dir)
+        if report is None:
+            return 1
     for stage in report.stages:
         print(
             f"{stage.label:<20s} issued={stage.n_issued:<5d} solved={stage.n_solved:<5d} "
@@ -925,79 +869,58 @@ def _command_recipe(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if _reject_engine_args(args):
-        return 2
-    if args.max_queue < 1:
-        print(f"error: --max-queue must be >= 1, got {args.max_queue}", file=sys.stderr)
-        return 2
     if args.max_cache_bytes is not None and args.cache_dir is None:
-        print("error: --max-cache-bytes requires --cache DIR", file=sys.stderr)
-        return 2
+        raise _UsageError("--max-cache-bytes requires --cache DIR")
     # Imported lazily: every other subcommand works without the service
     # package's HTTP machinery ever loading.
     from repro.service import CampaignServer, JobManager, TenantCacheStore
 
-    store = None
-    if args.cache_dir is not None:
-        store = TenantCacheStore(args.cache_dir, max_bytes=args.max_cache_bytes)
-    backend = _engine_backend(args)
-    if isinstance(backend, DistributedBackend):
-        # Bind the coordinator before announcing readiness so workers can
-        # connect the moment the address is printed.
-        coordinator_address = backend.start()
-        print(f"coordinator listening on {coordinator_address}", file=sys.stderr, flush=True)
-    manager = JobManager(
-        backend=backend,
-        workers=args.workers if isinstance(backend, str) else None,
-        store=store,
-        max_queue=args.max_queue,
-        retry_after=args.retry_after,
-    )
-    server = CampaignServer(manager, host=args.host, port=args.port, token=args.token)
-    auth = "token required" if args.token is not None else "no auth"
-    print(
-        f"campaign service listening on {server.url} ({auth}, queue<={args.max_queue})",
-        file=sys.stderr,
-        flush=True,
-    )
+    with _engine(args) as engine:
+        with _setup():
+            store = None
+            if args.cache_dir is not None:
+                store = TenantCacheStore(args.cache_dir, max_bytes=args.max_cache_bytes)
+            manager = JobManager(
+                **engine, store=store, max_queue=args.max_queue, retry_after=args.retry_after
+            )
+        if isinstance(engine["backend"], DistributedBackend):
+            # Bind the coordinator before announcing readiness so workers can
+            # connect the moment the address is printed.
+            coordinator_address = engine["backend"].start()
+            print(f"coordinator listening on {coordinator_address}", file=sys.stderr, flush=True)
+        server = CampaignServer(manager, host=args.host, port=args.port, token=args.token)
+        auth = "token required" if args.token is not None else "no auth"
+        print(
+            f"campaign service listening on {server.url} ({auth}, queue<={args.max_queue})",
+            file=sys.stderr,
+            flush=True,
+        )
 
-    # SIGTERM (and SIGINT even when the process was started in the
-    # background, where the shell leaves it SIG_IGN) must trigger the same
-    # graceful drain as ^C at a terminal.
-    def _graceful_exit(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
+        # SIGTERM (and SIGINT even when the process was started in the
+        # background, where the shell leaves it SIG_IGN) must trigger the same
+        # graceful drain as ^C at a terminal.
+        def _graceful_exit(signum: int, frame: object) -> None:
+            raise KeyboardInterrupt
 
-    signal.signal(signal.SIGTERM, _graceful_exit)
-    signal.signal(signal.SIGINT, _graceful_exit)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down (draining)...", file=sys.stderr, flush=True)
-    finally:
-        server.stop(drain_seconds=args.drain_seconds)
+        signal.signal(signal.SIGTERM, _graceful_exit)
+        signal.signal(signal.SIGINT, _graceful_exit)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("shutting down (draining)...", file=sys.stderr, flush=True)
+        finally:
+            server.stop(drain_seconds=args.drain_seconds)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``repro-lasvegas`` console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "predict":
-        return _command_predict(args)
-    if args.command == "campaign":
-        return _command_campaign(args)
-    if args.command == "worker":
-        return _command_worker(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "recipe":
-        return _command_recipe(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,6 +61,8 @@ def expected_minimum_survival_form(dist: "RuntimeDistribution", n_cores: int) ->
     ``E[Z(n)] = low + Integral_{low}^{high} (1 - F_Y(t))^n dt`` — the
     integrand is monotone decreasing from 1 to 0, which quadrature handles
     well provided the upper bound is placed where the tail has died out.
+    Returns NaN when the quadrature flags its own result (e.g. "extremely
+    bad integrand behavior" where the knee sits far above a large shift).
     """
     from scipy import integrate
 
@@ -84,7 +86,9 @@ def expected_minimum_survival_form(dist: "RuntimeDistribution", n_cores: int) ->
         q = dist.quantile(1.0 - (1.0 - prob) ** (1.0 / n_cores)) if n_cores > 1 else dist.quantile(prob)
         if low < q < upper:
             waypoints.append(q)
-    value, _abserr = integrate.quad(
+    # full_output makes quad return its diagnosis (a fourth item) instead of
+    # warning, so a result it flags as unreliable never passes for sound.
+    value, _abserr, _info, *flagged = integrate.quad(
         integrand,
         low,
         upper,
@@ -92,8 +96,9 @@ def expected_minimum_survival_form(dist: "RuntimeDistribution", n_cores: int) ->
         limit=400,
         epsrel=_QUAD_EPSREL,
         epsabs=0.0,
+        full_output=1,
     )
-    return low + value
+    return math.nan if flagged else low + value
 
 
 def expected_minimum_quantile_form(dist: "RuntimeDistribution", n_cores: int) -> float:
@@ -127,8 +132,8 @@ def expected_minimum(dist: "RuntimeDistribution", n_cores: int) -> float:
     """Expected value of the minimum of ``n_cores`` i.i.d. draws from ``dist``.
 
     Evaluates the survival-function integral and falls back to the
-    quantile-domain integral when that quadrature fails or does not give a
-    finite value.
+    quantile-domain integral when that quadrature fails, flags its result
+    or does not give a finite value.
     """
     try:
         value = expected_minimum_survival_form(dist, n_cores)

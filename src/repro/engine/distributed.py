@@ -92,6 +92,7 @@ __all__ = [
     "DistributedBackend",
     "ProtocolError",
     "UnitLedger",
+    "WorkerArgumentError",
     "WorkerStats",
     "execute_unit",
     "run_worker",
@@ -106,6 +107,10 @@ _FIRST_POLL_SECONDS = 0.001
 
 class ProtocolError(RuntimeError):
     """Coordinator and worker disagree about the wire protocol."""
+
+
+class WorkerArgumentError(ValueError):
+    """:func:`run_worker` refuses its arguments (raised before it connects)."""
 
 
 # ----------------------------------------------------------------------
@@ -727,8 +732,13 @@ class DistributedBackend(BatchExecutor):
                 "coordinator='HOST:PORT' (socket) or job_dir='DIR' (filesystem) "
                 "— on the CLI, pass --coordinator or --job-dir"
             )
+        if coordinator is not None:
+            _parse_address(coordinator)  # a malformed address fails here, not at start()
         if unit_size < 1:
             raise ValueError(f"unit_size must be >= 1, got {unit_size}")
+        if batch_timeout is not None and batch_timeout <= 0:
+            # A zero timeout would fail every batch at its first empty poll.
+            raise ValueError(f"batch_timeout must be positive, got {batch_timeout:g}")
         if auth_token is not None and coordinator is None:
             raise ValueError(
                 "auth_token applies to the socket transport only; the job "
@@ -923,11 +933,27 @@ def run_worker(
         disables heartbeats (the pre-v2 behaviour).
     """
     if (coordinator is None) == (job_dir is None):
-        raise ValueError("run_worker needs exactly one of coordinator= or job_dir=")
+        raise WorkerArgumentError(
+            "run_worker needs exactly one of coordinator= or job_dir= "
+            "(on the CLI, --connect or --job-dir)"
+        )
     if token is not None and coordinator is None:
-        raise ValueError("token= applies to the socket transport, not job_dir=")
+        raise WorkerArgumentError("token= applies to the socket transport, not job_dir=")
+    if coordinator is not None:
+        try:
+            _parse_address(coordinator)
+        except ValueError as exc:
+            raise WorkerArgumentError(str(exc)) from None
     if isinstance(executor, DistributedBackend):
-        raise ValueError("workers must run units on a per-host backend, not 'distributed'")
+        raise WorkerArgumentError("workers must run units on a per-host backend, not 'distributed'")
+    if poll_interval <= 0:
+        raise WorkerArgumentError(f"poll_interval must be positive, got {poll_interval:g}")
+    if connect_timeout < 0:
+        raise WorkerArgumentError(f"connect_timeout must be >= 0, got {connect_timeout:g}")
+    if max_units is not None and max_units < 1:
+        raise WorkerArgumentError(f"max_units must be >= 1, got {max_units}")
+    if heartbeat_seconds < 0:
+        raise WorkerArgumentError(f"heartbeat_seconds must be >= 0, got {heartbeat_seconds:g}")
     stats = WorkerStats()
     worker_name = name or f"{socket.gethostname()}:{os.getpid()}"
     if coordinator is not None:

@@ -1,6 +1,7 @@
 """Numerical order-statistic machinery against closed forms and Monte Carlo."""
 
 import math
+import warnings
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.distributions import (
     ShiftedExponential,
     TruncatedGaussian,
     UniformRuntime,
+    WeibullRuntime,
 )
 from repro.core.order_stats import (
     expected_minimum,
@@ -67,6 +69,18 @@ class TestExpectedMinimum:
         dist = LogNormalRuntime(mu=5.0, sigma=1.3, x0=500.0)
         monkeypatch.setattr(order_stats, "expected_minimum_survival_form", lambda d, n: math.nan)
         assert expected_minimum(dist, 32) == expected_minimum_quantile_form(dist, 32)
+
+    def test_falls_back_to_quantile_form_when_quad_flags_the_survival_form(self):
+        # A sharp knee just above a large shift: quad reports "extremely bad
+        # integrand behavior" on the survival integral.
+        dist = WeibullRuntime(shape=0.3, scale=301.415, x0=1e4)
+        exact = 1e4 + 301.415 * 512 ** (-1 / 0.3) * math.gamma(1 + 1 / 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(expected_minimum_survival_form(dist, 512))
+            value = expected_minimum(dist, 512)
+        assert value == expected_minimum_quantile_form(dist, 512)
+        assert value == pytest.approx(exact, rel=1e-10)
 
     def test_large_core_count_approaches_support_bound(self):
         dist = LogNormalRuntime(mu=4.0, sigma=1.0, x0=250.0)

@@ -27,6 +27,7 @@ from repro.engine.distributed import (
     DistributedBackend,
     ProtocolError,
     UnitLedger,
+    WorkerArgumentError,
     _decode,
     _JobDirListener,
     _encode,
@@ -693,6 +694,36 @@ class TestBackendConfiguration:
         units = shard_units(execute_run, list(range(10)), task_id="t", unit_size=4)
         assert [u.payloads for u in units] == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
         assert [u.unit_id for u in units] == ["t/0", "t/1", "t/2"]
+
+    @pytest.mark.parametrize("batch_timeout", [0, -1.0])
+    def test_rejects_a_non_positive_batch_timeout(self, batch_timeout, tmp_path):
+        # A zero timeout would fail every batch at its first empty poll.
+        with pytest.raises(ValueError, match="batch_timeout must be positive"):
+            DistributedBackend(job_dir=tmp_path, batch_timeout=batch_timeout)
+
+    def test_rejects_a_malformed_coordinator_address(self):
+        with pytest.raises(ValueError, match="HOST:PORT"):
+            DistributedBackend(coordinator="no-port")
+        with pytest.raises(WorkerArgumentError, match="HOST:PORT"):
+            run_worker(coordinator="no-port")
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"poll_interval": 0.0},
+            {"connect_timeout": -1.0},
+            {"max_units": 0},
+            {"heartbeat_seconds": -0.5},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_worker_checks_its_numbers_before_connecting(self, option):
+        # Nothing listens on port 9: a check made after connecting would
+        # retry for the whole connect timeout instead of raising at once.
+        start = time.monotonic()
+        with pytest.raises(WorkerArgumentError, match=next(iter(option))):
+            run_worker(coordinator="127.0.0.1:9", **option)
+        assert time.monotonic() - start < 5.0
 
     def test_batch_timeout_raises_without_workers(self):
         backend = DistributedBackend(coordinator="127.0.0.1:0", batch_timeout=0.3)

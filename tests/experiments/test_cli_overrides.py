@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _config_from_args, build_parser
+from repro.cli import _config_from_args, build_parser, main
 
 
 def parse(args):
@@ -124,56 +124,56 @@ class TestDistributedCliFlags:
         assert quick.n_sequential_runs < medium.n_sequential_runs < full.n_sequential_runs
         assert quick.all_interval_n < medium.all_interval_n < full.all_interval_n
 
-    def test_distributed_requires_exactly_one_transport(self):
-        from repro.cli import _validate_engine_args
+    def test_distributed_requires_exactly_one_transport(self, capsys):
+        assert main(["campaign", "--backend", "distributed"]) == 2
+        assert "exactly one" in capsys.readouterr().err
+        both = ["campaign", "--backend", "distributed", "--coordinator", "h:1", "--job-dir", "d"]
+        assert main(both) == 2
+        assert "exactly one" in capsys.readouterr().err
+        # A dry run builds (and closes) the backend but never binds it.
+        ok = ["campaign", "--profile", "tiny", "--dry-run", "--backend", "distributed"]
+        assert main(ok + ["--coordinator", "h:1"]) == 0
+        assert capsys.readouterr().err == ""
 
-        neither = parse(["campaign", "--backend", "distributed"])
-        assert "exactly one" in _validate_engine_args(neither)
-        both = parse(
-            ["campaign", "--backend", "distributed", "--coordinator", "h:1", "--job-dir", "d"]
-        )
-        assert "exactly one" in _validate_engine_args(both)
-        ok = parse(["campaign", "--backend", "distributed", "--coordinator", "h:1"])
-        assert _validate_engine_args(ok) is None
+    def test_distributed_rejects_workers(self, capsys):
+        argv = ["campaign", "--backend", "distributed", "--coordinator", "h:1", "--workers", "4"]
+        assert main(argv) == 2
+        assert "worker" in capsys.readouterr().err
 
-    def test_distributed_rejects_workers(self):
-        from repro.cli import _validate_engine_args
+    def test_transport_flags_require_distributed_backend(self, capsys):
+        for flags in (
+            ["--backend", "process", "--coordinator", "h:1"],
+            # Tuning flags are rejected too, not silently ignored.
+            ["--backend", "process", "--unit-size", "32"],
+            ["--batch-timeout", "60"],
+        ):
+            assert main(["campaign", *flags]) == 2
+            assert "--backend distributed" in capsys.readouterr().err
 
-        args = parse(
-            ["campaign", "--backend", "distributed", "--coordinator", "h:1", "--workers", "4"]
-        )
-        assert "worker" in _validate_engine_args(args)
-
-    def test_transport_flags_require_distributed_backend(self):
-        from repro.cli import _validate_engine_args
-
-        args = parse(["campaign", "--backend", "process", "--coordinator", "h:1"])
-        assert "--backend distributed" in _validate_engine_args(args)
-        # Tuning flags are rejected too, not silently ignored.
-        args = parse(["campaign", "--backend", "process", "--unit-size", "32"])
-        assert "--backend distributed" in _validate_engine_args(args)
-        args = parse(["campaign", "--batch-timeout", "60"])
-        assert "--backend distributed" in _validate_engine_args(args)
-
-    def test_engine_backend_builds_a_configured_instance(self, tmp_path):
-        from repro.cli import _engine_backend
+    def test_engine_flags_reach_the_campaign_as_a_configured_backend(self, monkeypatch, tmp_path):
+        import repro.cli
         from repro.engine.distributed import DistributedBackend
 
-        args = parse(
-            [
-                "campaign",
-                "--backend",
-                "distributed",
-                "--job-dir",
-                str(tmp_path),
-                "--unit-size",
-                "7",
-            ]
-        )
-        backend = _engine_backend(args)
-        assert isinstance(backend, DistributedBackend)
-        assert backend.unit_size == 7
-        assert _engine_backend(parse(["campaign", "--backend", "process"])) == "process"
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def record(stages, **kwargs):
+            seen.append(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(repro.cli, "run_campaign", record)
+        tiny = ["campaign", "--profile", "tiny"]
+        with pytest.raises(Stop):
+            main(tiny + ["--backend", "distributed", "--job-dir", str(tmp_path), "--unit-size", "7"])
+        with pytest.raises(Stop):
+            main(tiny + ["--backend", "process"])
+        distributed, process = seen
+        assert isinstance(distributed["backend"], DistributedBackend)
+        assert distributed["backend"].unit_size == 7
+        assert distributed["workers"] is None
+        assert process["backend"] == "process"
 
     def test_worker_subcommand_defaults(self):
         args = parse(["worker", "--connect", "127.0.0.1:7821"])
@@ -187,7 +187,5 @@ class TestDistributedCliFlags:
             parse(["worker", "--connect", "127.0.0.1:7821", "--cache", "shared"])
 
     def test_worker_command_requires_one_transport(self, capsys):
-        from repro.cli import main
-
         assert main(["worker"]) == 2
         assert "exactly one" in capsys.readouterr().err
