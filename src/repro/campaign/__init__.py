@@ -7,8 +7,8 @@ orchestrated DAG of stages with a live controller:
 * :mod:`repro.campaign.stages` — :class:`StageSpec` and DAG validation.
 * :mod:`repro.campaign.controller` — the ``static`` (plan once) and
   ``adaptive`` (streaming censoring-aware fits, kill-and-reseed cutoffs,
-  fixed-vs-Luby schedule, predictor-driven worker allocation) controllers
-  and the deterministic decision log.
+  fixed-vs-Luby schedule, a predictor-driven worker allocation recorded in
+  the log) controllers and the deterministic decision log.
 * :mod:`repro.campaign.orchestrator` — :func:`run_campaign` (with the
   BUG-021 zero-observation guardrail), offline :func:`replay_decisions`
   and the :func:`verify_report` determinism gate.

@@ -2,8 +2,8 @@
 
 The orchestrator executes every stage as a sequence of *rounds*.  Before a
 round it asks the controller for a :class:`RoundPlan` (how many runs, at
-what per-run budget, on how many workers); after the round it feeds the
-completed runs back — always in stable index order, never in the
+what per-run budget, the recorded worker allocation); after the round it
+feeds the completed runs back — always in stable index order, never in the
 backend-dependent completion order — so every decision is a pure function
 of the observation stream.  Same ``base_seed`` ⇒ same stream ⇒ identical
 decision log on any backend at any worker count, which is what makes the
@@ -24,8 +24,8 @@ Three controllers are provided:
   reduced cutoff are *killed* and replaced by fresh-seed runs — restarts by
   reseeding), chooses the fixed-vs-Luby cutoff schedule from the fitted
   log-space dispersion (Luby's universal sequence hedges heavy tails), and
-  sizes the worker allocation with the paper's multi-walk speed-up
-  predictor (:func:`repro.multiwalk.simulate.simulate_multiwalk_speedups`)
+  logs (never applies) a worker allocation from the paper's multi-walk
+  speed-up predictor (:func:`repro.multiwalk.simulate.simulate_multiwalk_speedups`)
   on the solved runtimes observed so far.  It counts *solved* observations
   toward the quota, which is what makes it finish censoring-heavy stages
   in less wall-clock than the static plan.
@@ -101,10 +101,10 @@ class StageRunRecord:
 class RoundPlan:
     """What the controller wants executed next: ``n_runs`` at ``budget``.
 
-    ``workers`` is an allocation *hint* — applied when the backend is an
-    elastic pool (thread/process), recorded either way.  ``note`` names the
-    schedule segment the budget came from (``"probe"``, ``"fixed"``,
-    ``"luby"``, ``"static"``).
+    ``workers`` is the allocation decision's worker count — recorded in the
+    log, never applied: every round runs on the campaign's one executor.
+    ``note`` names the schedule segment the budget came from (``"probe"``,
+    ``"fixed"``, ``"luby"``, ``"static"``).
     """
 
     round_index: int

@@ -12,7 +12,7 @@ the completed runs.  The controllers:
 * ``adaptive`` — rounds planned live by
   :class:`repro.campaign.controller.AdaptiveController` from streaming
   censoring-aware fits: reduced-cutoff (kill-and-reseed) rounds, a
-  fixed-vs-Luby cutoff schedule and predictor-driven worker allocation.
+  fixed-vs-Luby cutoff schedule and a logged, never applied, worker allocation.
 
 Every round is one content-addressed batch: ``n_runs`` runs at one budget,
 starting where the stage's seed stream stands after the rounds before it.
@@ -54,7 +54,7 @@ from repro.campaign.controller import (
 )
 from repro.campaign.report import CampaignReport, StageReport
 from repro.campaign.stages import StageSpec, resolve_stage_order
-from repro.engine.backends import BatchExecutor, default_worker_count
+from repro.engine.backends import BatchExecutor
 from repro.engine.cache import ObservationCache
 from repro.engine.core import collect_batch, resolve_backend
 # Unused here, but kept importable: perfbench's tracer
@@ -78,10 +78,6 @@ class CampaignError(RuntimeError):
 
 class ReplayError(RuntimeError):
     """A saved report's decision log could not be reproduced from its stream."""
-
-
-#: Backends whose worker count the controller's allocation decision can set.
-_ELASTIC_BACKENDS = ("thread", "process")
 
 
 def _seed_head(stage, n: int = 4) -> list[int]:
@@ -238,7 +234,8 @@ def run_campaign(
         ``"off"`` (default), ``"static"``, ``"adaptive"``, or a configured
         :class:`~repro.campaign.controller.Controller` instance.
     backend, workers, progress, cache:
-        Engine plumbing, as for :func:`repro.engine.collect_batch`.  Every
+        Engine plumbing, as for :func:`repro.engine.collect_batch`; one
+        executor runs every round, whatever the controller allocates.  Every
         round is one ``collect_batch`` call starting where the stage's seed
         stream stands, so the cache serves every round of every controller
         (one file per ``round`` decision).  Progress events count runs
@@ -284,22 +281,11 @@ def run_campaign(
             dry_run=True,
         )
 
-    # One executor serves every stage and round, so a process pool starts
-    # once per campaign.  A named elastic backend is rebuilt only when the
-    # controller's allocation changes its worker count, so at most one pool
-    # is alive at a time; the executor is closed on every exit path.
+    # One executor serves every round, closed on every exit path if built
+    # here.  ``plan.workers`` sizes a first-finisher race; a round collects
+    # independent runs, whose throughput grows with every worker, so it is
+    # logged, not applied.
     executor = resolve_backend(backend, workers)
-    elastic = backend in _ELASTIC_BACKENDS
-
-    def executor_for(plan: RoundPlan) -> BatchExecutor:
-        nonlocal executor
-        if elastic:
-            wanted = plan.workers if plan.workers is not None else workers
-            if default_worker_count(wanted) != executor.workers:
-                executor.close()
-                executor = resolve_backend(backend, wanted)
-        return executor
-
     stage_reports: list[StageReport] = []
     try:
         for stage in order:
@@ -312,7 +298,7 @@ def run_campaign(
                     base_seed=stage.base_seed,
                     start=issued,
                     label=stage.label,
-                    backend=executor_for(plan),
+                    backend=executor,
                     progress=progress,
                     cache=cache,
                 )

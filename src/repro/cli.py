@@ -15,14 +15,14 @@ Subcommands
     Run the experiment campaigns through the streaming orchestrator.  The
     default ``--controller off`` and ``--controller static`` collect one
     classic batch per stage and record the plan; ``--controller adaptive`` re-plans
-    every round live (kill-and-reseed cutoffs, fixed-vs-Luby schedule,
-    predictor-driven worker allocation).  ``--dry-run`` prints the resolved
-    stage DAG and plan without executing; ``--report FILE`` saves the full
-    campaign report (run streams + decision log); ``--replay FILE``
-    re-derives a saved report's decision log offline and verifies it
-    matches bit for bit.  With ``--backend distributed`` the process acts
-    as the coordinator (``--coordinator HOST:PORT`` or ``--job-dir DIR``)
-    and the runs execute on connected workers.
+    every round live (kill-and-reseed cutoffs, fixed-vs-Luby schedule, and
+    a predictor-driven worker allocation that is recorded, not applied).
+    ``--dry-run`` prints the resolved stage DAG and plan without executing;
+    ``--report FILE`` saves the full campaign report (run streams + decision
+    log); ``--replay FILE`` re-derives a saved report's decision log offline
+    and verifies it matches bit for bit.  With ``--backend distributed`` the
+    process acts as the coordinator (``--coordinator HOST:PORT`` or
+    ``--job-dir DIR``) and the runs execute on connected workers.
 ``worker``
     Join a distributed campaign: connect to a coordinator (``--connect``) or
     watch a job directory (``--job-dir``), pull work units, run them on a
@@ -72,7 +72,13 @@ from repro.campaign import (
 from repro.core.prediction import predict_speedup_curve, predict_speedup_empirical
 from repro.engine.backends import BatchExecutor
 from repro.engine.core import BACKENDS, resolve_backend
-from repro.engine.distributed import DistributedBackend, ProtocolError, WorkerArgumentError, run_worker
+from repro.engine.distributed import (
+    CoordinatorUnreachable,
+    DistributedBackend,
+    ProtocolError,
+    WorkerArgumentError,
+    run_worker,
+)
 from repro.engine.lockstep import LockstepBackend
 from repro.engine.progress import BatchProgress
 from repro.experiments.config import PROFILES, SAT_FAMILIES, ExperimentConfig
@@ -529,16 +535,16 @@ _DISTRIBUTED_FLAGS = ("coordinator", "job_dir", "unit_size", "batch_timeout", "w
 
 
 @contextlib.contextmanager
-def _engine(args: argparse.Namespace) -> Iterator[dict]:
-    """Engine keyword arguments (``backend``, ``workers``) for one command.
+def _engine(args: argparse.Namespace) -> Iterator[BatchExecutor]:
+    """The one executor every batch of this command runs on.
 
     The CLI checks only which backend a flag belongs to; the engine's
-    constructors check the values.  Distributed campaigns need one
-    *configured instance* shared by every batch of the invocation, so the
-    coordinator socket (or job directory) persists across batches and
-    workers stay connected in between.  A backend instance built here is
-    closed on exit; closing a distributed backend shuts its coordinator
-    down, which lets connected workers exit cleanly.
+    constructors check the values.  One instance serves the whole
+    invocation: a process pool stays warm across batches and campaigns,
+    and a distributed coordinator socket (or job directory) persists, so
+    workers stay connected in between.  The executor is closed on exit;
+    closing a distributed backend shuts its coordinator down, which lets
+    connected workers exit cleanly.
     """
     if args.lockstep_width is not None and args.backend != "lockstep":
         raise _UsageError("--lockstep-width requires --backend lockstep")
@@ -553,7 +559,7 @@ def _engine(args: argparse.Namespace) -> Iterator[dict]:
         )
     with _setup():
         if args.backend == "distributed":
-            backend = DistributedBackend(
+            executor = DistributedBackend(
                 coordinator=args.coordinator,
                 job_dir=args.job_dir,
                 workers=args.workers,
@@ -562,17 +568,14 @@ def _engine(args: argparse.Namespace) -> Iterator[dict]:
                 auth_token=args.worker_token,
             )
         else:
-            # A named backend is resolved again by each campaign; resolving
-            # it here checks --workers up front and starts no pool.
-            resolve_backend(args.backend, args.workers).close()
-            backend = args.backend
+            # A process pool starts on the first batch, not here.
+            executor = resolve_backend(args.backend, args.workers)
             if args.lockstep_width is not None:
-                backend = LockstepBackend(width=args.lockstep_width)
+                executor = LockstepBackend(width=args.lockstep_width)
     try:
-        yield {"backend": backend, "workers": args.workers if isinstance(backend, str) else None}
+        yield executor
     finally:
-        if isinstance(backend, BatchExecutor):
-            backend.close()
+        executor.close()
 
 
 def _command_run(args: argparse.Namespace) -> int:
@@ -583,11 +586,11 @@ def _command_run(args: argparse.Namespace) -> int:
         raise _UsageError(f"unknown experiments: {unknown}")
     # Collect each observation campaign at most once, with the engine flags.
     campaigns: dict[str, object] = {}
-    with _engine(args) as engine:
+    with _engine(args) as backend:
         for kind in STAGE_KINDS:
             if any(EXPERIMENTS[n].observations == kind for n in names):
                 campaigns[kind] = collect_observations(
-                    kind, config, cache_dir=args.cache_dir, **engine
+                    kind, config, cache_dir=args.cache_dir, backend=backend
                 )
     for name in names:
         observations = campaigns.get(EXPERIMENTS[name].observations)
@@ -620,11 +623,11 @@ def _load_report(path: str) -> CampaignReport:
         raise _UsageError(f"cannot load report: {exc}") from exc
 
 
-def _run_stages(args: argparse.Namespace, engine: dict, stages, **options) -> CampaignReport | None:
+def _run_stages(args: argparse.Namespace, stages, **options) -> CampaignReport | None:
     """Run a campaign under ``--controller``; ``None`` when it fails, after
     saving the partial report to ``--report``."""
     try:
-        return run_campaign(stages, controller=args.controller, **engine, **options)
+        return run_campaign(stages, controller=args.controller, **options)
     except CampaignError as exc:
         print(f"error: campaign failed: {exc}", file=sys.stderr)
         if args.report is not None:
@@ -682,15 +685,15 @@ def _command_campaign(args: argparse.Namespace) -> int:
         with _setup():
             stages = select_stages(stages, args.stages)
     # The engine is built before a dry run too, so its flags are checked.
-    with _engine(args) as engine:
+    with _engine(args) as backend:
         if args.dry_run:
             report = run_campaign(stages, controller=args.controller, dry_run=True)
             _print_dry_run(report)
         else:
             report = _run_stages(
                 args,
-                engine,
                 stages,
+                backend=backend,
                 progress=_print_progress if args.progress else None,
                 cache=observation_cache(args.cache_dir),
             )
@@ -732,9 +735,9 @@ def _command_worker(args: argparse.Namespace) -> int:
         )
     except WorkerArgumentError as exc:
         raise _UsageError(exc) from exc
-    except ProtocolError as exc:
-        # Version mismatch or a refused handshake (e.g. bad --token): a
-        # worker that cannot join must exit loudly, not crash-loop.
+    except (ProtocolError, CoordinatorUnreachable) as exc:
+        # No coordinator, a version mismatch or a refused handshake (e.g. bad
+        # --token): a worker that cannot join must exit loudly, not crash-loop.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -834,7 +837,7 @@ def _command_recipe_generate(args: argparse.Namespace) -> int:
     from repro.recipes import describe_campaign, generate_stages, generate_submission
 
     # The engine is built even without --run, so its flags are checked.
-    with _engine(args) as engine:
+    with _engine(args) as backend:
         with _setup():
             recipe = _load_recipe_arg(args.recipe)
             plan = describe_campaign(recipe, scale=args.scale, base_seed=args.seed)
@@ -855,7 +858,7 @@ def _command_recipe_generate(args: argparse.Namespace) -> int:
         if not args.run:
             return 0
         stages = generate_stages(recipe, scale=args.scale, base_seed=args.seed)
-        report = _run_stages(args, engine, stages, cache=args.cache_dir)
+        report = _run_stages(args, stages, backend=backend, cache=args.cache_dir)
         if report is None:
             return 1
     for stage in report.stages:
@@ -875,20 +878,24 @@ def _command_serve(args: argparse.Namespace) -> int:
     # package's HTTP machinery ever loading.
     from repro.service import CampaignServer, JobManager, TenantCacheStore
 
-    with _engine(args) as engine:
-        with _setup():
+    with _engine(args) as backend:
+        # A port already taken is bad input, like a malformed address.
+        with _setup(OSError):
             store = None
             if args.cache_dir is not None:
                 store = TenantCacheStore(args.cache_dir, max_bytes=args.max_cache_bytes)
+            if isinstance(backend, DistributedBackend):
+                # Bind the coordinator before announcing readiness so workers
+                # can connect the moment the address is printed.
+                print(f"coordinator listening on {backend.start()}", file=sys.stderr, flush=True)
             manager = JobManager(
-                **engine, store=store, max_queue=args.max_queue, retry_after=args.retry_after
+                backend=backend, store=store, max_queue=args.max_queue, retry_after=args.retry_after
             )
-        if isinstance(engine["backend"], DistributedBackend):
-            # Bind the coordinator before announcing readiness so workers can
-            # connect the moment the address is printed.
-            coordinator_address = engine["backend"].start()
-            print(f"coordinator listening on {coordinator_address}", file=sys.stderr, flush=True)
-        server = CampaignServer(manager, host=args.host, port=args.port, token=args.token)
+            try:
+                server = CampaignServer(manager, host=args.host, port=args.port, token=args.token)
+            except OSError:
+                manager.stop()
+                raise
         auth = "token required" if args.token is not None else "no auth"
         print(
             f"campaign service listening on {server.url} ({auth}, queue<={args.max_queue})",

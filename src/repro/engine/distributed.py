@@ -89,6 +89,7 @@ from repro.engine.tasks import PROTOCOL_VERSION, UnitResult, WorkUnit, shard_uni
 from repro.multiwalk.observations import atomic_write_bytes
 
 __all__ = [
+    "CoordinatorUnreachable",
     "DistributedBackend",
     "ProtocolError",
     "UnitLedger",
@@ -111,6 +112,10 @@ class ProtocolError(RuntimeError):
 
 class WorkerArgumentError(ValueError):
     """:func:`run_worker` refuses its arguments (raised before it connects)."""
+
+
+class CoordinatorUnreachable(ConnectionError):
+    """:func:`run_worker` found no coordinator within its connect timeout."""
 
 
 # ----------------------------------------------------------------------
@@ -468,10 +473,7 @@ class _SocketListener:
     """Workers arrive as TCP connections to ``host:port``."""
 
     def __init__(self, host: str, port: int) -> None:
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
+        self._sock = socket.create_server((host, port))  # SO_REUSEADDR on POSIX
         self._sock.settimeout(0.2)  # lets the accept loop notice close()
         host, port = self._sock.getsockname()[:2]
         self.address = f"{host}:{port}"
@@ -914,9 +916,10 @@ def run_worker(
         How long to keep retrying the initial connection (socket mode) or
         waiting for ``meta.json`` to name an open session (job-dir mode) —
         lets workers start before the coordinator, also in a job directory
-        an earlier campaign left behind.  A job-dir worker that sees only
-        closed sessions until then, or that finds a newer session already
-        closed, exits without serving.
+        an earlier campaign left behind.  ``0`` tries once.  No coordinator
+        by then raises :class:`CoordinatorUnreachable`; a job-dir worker
+        that sees only closed sessions until then, or that finds a newer
+        session already closed, exits without serving.
     max_units:
         Stop after completing this many units (mostly for tests).
     name:
@@ -1037,10 +1040,14 @@ def _connect_with_retry(address: str, connect_timeout: float) -> socket.socket:
     deadline = time.monotonic() + connect_timeout
     while True:
         try:
-            return socket.create_connection((host, port), timeout=connect_timeout)
-        except OSError:
+            # Never timeout=0: that makes a non-blocking socket whose connect fails.
+            timeout = max(deadline - time.monotonic(), 1.0)
+            return socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
             if time.monotonic() >= deadline:
-                raise
+                raise CoordinatorUnreachable(
+                    f"no coordinator at {address} after {connect_timeout:g}s: {exc}"
+                ) from exc
             time.sleep(0.1)
 
 
@@ -1067,7 +1074,7 @@ def _join_job_dir(
                 return None
         if time.monotonic() >= deadline:
             if not meta:
-                raise FileNotFoundError(
+                raise CoordinatorUnreachable(
                     f"no coordinator metadata at {job_dir / 'meta.json'} "
                     f"after {connect_timeout:g}s"
                 )

@@ -58,7 +58,6 @@ def collect_observations(
     *,
     cache_dir: str | Path | None = None,
     backend: str | BatchExecutor | None = None,
-    workers: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> dict[str, RuntimeObservations]:
     """Run (or reuse) the sequential campaign of one observation kind.
@@ -74,15 +73,14 @@ def collect_observations(
 
     ``cache_dir`` persists batches as content-addressed JSON across
     processes (without it they are reused within the process only);
-    ``backend``, ``workers`` and ``progress`` go to the engine (default:
-    serial).
+    ``backend`` and ``progress`` go to the engine (default: serial); pass
+    a configured executor to size a pool or keep it warm across kinds.
     """
     stages = campaign_stages(config, kinds=(kind,))
     report = run_campaign(
         stages,
         controller="off",
         backend=backend,
-        workers=workers,
         progress=progress,
         cache=observation_cache(cache_dir),
         enforce_required=False,

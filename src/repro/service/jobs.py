@@ -133,12 +133,12 @@ class JobManager:
     Parameters
     ----------
     backend:
-        Engine backend every campaign runs on — a name (``"serial"``,
-        ``"thread"`` …) or a configured :class:`BatchExecutor` (a
-        :class:`DistributedBackend` keeps its worker fleet connected
-        across jobs, which is the point of the long-lived service).
-    workers:
-        Worker count for elastic string backends.
+        Engine backend every campaign runs on.  Pass the process's one
+        configured :class:`BatchExecutor`: a :class:`ProcessBackend` keeps
+        its pool warm and a :class:`DistributedBackend` keeps its worker
+        fleet connected across jobs, which is the point of the long-lived
+        service.  The caller closes it.  A name (``"serial"`` …) or
+        ``None`` is resolved afresh for each job.
     store:
         Multi-tenant observation cache; each job runs with its tenant's
         view.  ``None`` disables caching.
@@ -153,7 +153,6 @@ class JobManager:
         self,
         *,
         backend: str | BatchExecutor | None = None,
-        workers: int | None = None,
         store: TenantCacheStore | None = None,
         max_queue: int = 8,
         retry_after: float = 5.0,
@@ -161,7 +160,6 @@ class JobManager:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.backend = backend
-        self.workers = workers
         self.store = store
         self.max_queue = max_queue
         self.retry_after = retry_after
@@ -261,7 +259,6 @@ class JobManager:
                 submission.build_stages(),
                 controller=submission.controller,
                 backend=self.backend,
-                workers=self.workers if isinstance(self.backend, (str, type(None))) else None,
                 progress=progress,
                 cache=cache,
                 dry_run=submission.dry_run,

@@ -8,6 +8,7 @@ the BUG-021 CLI regression.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -189,3 +190,31 @@ class TestReportAndReplay:
         rc, _, err = _run(capsys, ["campaign", "--replay", str(path)])
         assert rc == 1
         assert "replay FAILED" in err
+
+
+class TestOneExecutor:
+    def test_adaptive_process_campaign_starts_one_pool(self, capsys, tmp_path, spawned_pools):
+        # The allocation asks for 8 workers on CSP stages; every round
+        # still runs on the one --workers 2 pool.
+        args = ["campaign", "--profile", "tiny", "--controller", "adaptive"]
+        pooled, serial = tmp_path / "process.json", tmp_path / "serial.json"
+        rc, out_pooled, _ = _run(
+            capsys, args + ["--backend", "process", "--workers", "2", "--report", str(pooled)]
+        )
+        assert rc == 0
+        assert spawned_pools == [2]
+        assert multiprocessing.active_children() == []
+        clear_observation_cache()
+        rc, out_serial, _ = _run(capsys, args + ["--report", str(serial)])
+        assert rc == 0
+        assert out_pooled == out_serial
+        reports = [json.loads(path.read_text()) for path in (pooled, serial)]
+        assert reports[0]["decisions"] == reports[1]["decisions"]
+        allocated = {d["detail"]["workers"] for d in reports[0]["decisions"]
+                     if d["kind"] == "allocation"}
+        assert allocated - {2}  # some stage asked for another pool size
+        for report in reports:
+            for stage in report["stages"]:
+                for record in stage["stream"]:
+                    record.pop("runtime_seconds")
+        assert reports[0]["stages"] == reports[1]["stages"]

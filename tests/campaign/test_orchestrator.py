@@ -268,7 +268,7 @@ def _deterministic_stream(report):
 
 
 class TestProcessPoolLifecycle:
-    """One warm pool per campaign, closed on every exit path."""
+    """One warm pool per campaign, never resized, closed on every exit path."""
 
     def _controller(self, **kwargs):
         return AdaptiveController(candidate_workers=(1, 2), **kwargs)
@@ -285,7 +285,7 @@ class TestProcessPoolLifecycle:
         assert pooled.decision_dicts() == serial.decision_dicts()
         assert _deterministic_stream(pooled) == _deterministic_stream(serial)
 
-    def test_allocation_change_respawns_once(self, spawned_pools):
+    def test_allocation_is_recorded_not_applied(self, spawned_pools):
         # No worker count keeps an efficiency of 2, so the allocation
         # falls back to the smallest candidate once the predictor runs.
         controller = self._controller(efficiency_floor=2.0)
@@ -293,8 +293,10 @@ class TestProcessPoolLifecycle:
         allocations = [d["detail"]["workers"] for d in report.decision_dicts()
                        if d["kind"] == "allocation"]
         assert allocations == [1]
-        assert spawned_pools == [2, 1]
+        assert spawned_pools == [2]  # the pool is never resized
         assert multiprocessing.active_children() == []
+        serial = run_campaign([_sat_stage()], controller=self._controller(efficiency_floor=2.0))
+        assert report.decision_dicts() == serial.decision_dicts()
 
     def test_campaign_error_leaves_no_workers(self, spawned_pools):
         # A one-flip budget never satisfies the formula: BUG-021 fires.

@@ -24,6 +24,7 @@ import repro.engine.distributed as distributed
 from repro.csp.problems import NQueensProblem
 from repro.engine.core import collect_batch, resolve_backend, run_race
 from repro.engine.distributed import (
+    CoordinatorUnreachable,
     DistributedBackend,
     ProtocolError,
     UnitLedger,
@@ -588,6 +589,29 @@ class TestProtocol:
         backend = DistributedBackend(job_dir=job_dir)
         with pytest.raises(ProtocolError, match="protocol"):
             backend.start()
+
+
+class TestJoining:
+    def test_zero_connect_timeout_joins_a_live_coordinator(self, socket_backend):
+        # timeout=0 on a socket makes it non-blocking: its connect used to
+        # raise BlockingIOError even with the coordinator listening.
+        collector, events = _collect_in_background(SyntheticAlgorithm(), 4, 5, socket_backend)
+        stats = run_worker(
+            coordinator=socket_backend.start(), connect_timeout=0, max_units=1, poll_interval=0.01
+        )
+        assert stats.units_completed == 1
+        collector.join(timeout=10.0)
+        serial = collect_batch(SyntheticAlgorithm(), 4, base_seed=5)
+        assert _deterministic_fields(events[-1]) == _deterministic_fields(serial)
+
+    def test_refused_connection_names_the_address_and_timeout(self):
+        # Nothing listens on port 1.
+        with pytest.raises(CoordinatorUnreachable, match=r"127\.0\.0\.1:1 after 0\.3s"):
+            run_worker(coordinator="127.0.0.1:1", connect_timeout=0.3)
+
+    def test_job_dir_without_a_coordinator_names_the_dir_and_timeout(self, tmp_path):
+        with pytest.raises(CoordinatorUnreachable, match=r"meta\.json after 0\.2s"):
+            run_worker(job_dir=tmp_path, connect_timeout=0.2)
 
 
 class TestUnitLedger:

@@ -152,6 +152,7 @@ class TestDistributedCliFlags:
 
     def test_engine_flags_reach_the_campaign_as_a_configured_backend(self, monkeypatch, tmp_path):
         import repro.cli
+        from repro.engine.backends import ProcessBackend
         from repro.engine.distributed import DistributedBackend
 
         class Stop(Exception):
@@ -172,8 +173,8 @@ class TestDistributedCliFlags:
         distributed, process = seen
         assert isinstance(distributed["backend"], DistributedBackend)
         assert distributed["backend"].unit_size == 7
-        assert distributed["workers"] is None
-        assert process["backend"] == "process"
+        assert isinstance(process["backend"], ProcessBackend)
+        assert "workers" not in distributed and "workers" not in process
 
     def test_worker_subcommand_defaults(self):
         args = parse(["worker", "--connect", "127.0.0.1:7821"])

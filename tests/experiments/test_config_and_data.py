@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.engine.backends import ThreadBackend
 from repro.experiments.config import BENCHMARK_KEYS, SAT_KEY, ExperimentConfig
 from repro.experiments.data import clear_observation_cache, collect_observations
 from repro.experiments.stages import STAGE_KINDS
@@ -204,6 +205,6 @@ class TestSATCampaignCollection:
         clear_observation_cache()
         serial = collect_observations("sat", tiny_config)[SAT_KEY]
         clear_observation_cache()
-        threaded = collect_observations("sat", tiny_config, backend="thread", workers=2)[SAT_KEY]
+        threaded = collect_observations("sat", tiny_config, backend=ThreadBackend(2))[SAT_KEY]
         np.testing.assert_array_equal(serial.iterations, threaded.iterations)
         clear_observation_cache()

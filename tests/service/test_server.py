@@ -6,6 +6,7 @@ service-smoke lane uses — with tiny single-stage campaigns so the whole
 module stays fast.
 """
 
+import multiprocessing
 import socket
 import threading
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import run_campaign, verify_report
+from repro.engine.backends import ProcessBackend
 from repro.experiments.data import clear_observation_cache
 from repro.service import (
     CampaignClient,
@@ -232,6 +234,27 @@ class TestBackpressure:
         with pytest.raises(QueueFull) as exc:
             manager.submit(CampaignSubmission.from_dict({**TINY_SAT, "dry_run": True}))
         assert exc.value.retry_after == 3.0
+
+
+class TestOneExecutor:
+    def test_process_backend_serves_every_job_from_one_pool(self, spawned_pools):
+        backend = ProcessBackend(2)
+        manager = JobManager(backend=backend, max_queue=2)
+        try:
+            submissions = [{**TINY_SAT, "config": {"base_seed": seed}} for seed in (1, 2)]
+            jobs = [manager.submit(CampaignSubmission.from_dict(s)) for s in submissions]
+            for job in jobs:
+                # ``since`` beyond any event: block until the job is terminal.
+                _, terminal = job.wait_events(1 << 30, timeout=120.0)
+                assert terminal and job.state == "done", job.error
+        finally:
+            manager.stop()
+            backend.close()
+        assert spawned_pools == [2]  # the second job reused the warm pool
+        assert multiprocessing.active_children() == []
+        for job in jobs:
+            serial = run_campaign(job.submission.build_stages(), controller="off")
+            assert deterministic_report(job.report) == deterministic_report(serial)
 
 
 class TestEventStream:

@@ -7,6 +7,7 @@ covered in ``tests/campaign/test_cli_campaign.py``.
 """
 
 import argparse
+import socket
 
 import pytest
 
@@ -153,6 +154,11 @@ USAGE_ERRORS = {
         ["worker", "--connect", "127.0.0.1:1", "--connect-timeout", "-1"],
         None,
     ),
+    "serve-busy-port": (["serve", "--port", "{busy}"], None),
+    "serve-busy-coordinator-port": (
+        ["serve", "--port", "0", "--backend", "distributed", "--coordinator", "127.0.0.1:{busy}"],
+        None,
+    ),
 }
 
 
@@ -161,8 +167,11 @@ def test_bad_input_exits_2_with_one_error_line(argv, values, tmp_path, capsys):
     path = tmp_path / "values.txt"
     if values is not None:
         path.write_text(values)
-    argv = [a.format(values=path, missing=tmp_path / "missing.txt") for a in argv]
-    assert main(argv) == 2
+    # ``{busy}`` is a port another socket is listening on.
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        argv = [a.format(values=path, missing=tmp_path / "missing.txt", busy=port) for a in argv]
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -195,3 +204,20 @@ def test_refused_worker_handshake_exits_1(capsys):
         backend.shutdown()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "authentication failed" in err
+
+
+@pytest.mark.parametrize(
+    "transport",
+    [
+        ["--connect", "127.0.0.1:1", "--connect-timeout", "0.3"],
+        ["--job-dir", "{dir}", "--connect-timeout", "0.5"],
+    ],
+    ids=["refused-connection", "job-dir-without-meta"],
+)
+def test_worker_without_a_coordinator_exits_1(transport, tmp_path, capsys):
+    # Nothing listens on port 1, and no coordinator ever wrote tmp_path/meta.json.
+    argv = ["worker", *(a.format(dir=tmp_path) for a in transport)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: no coordinator") and err.count("\n") == 1, err
