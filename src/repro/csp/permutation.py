@@ -21,11 +21,11 @@ configuration and answers "what would each swap cost?" in O(n).  The batch
 oracle and as the automatic fallback for problems without a specialised
 kernel (e.g. :class:`CSPPermutationAdapter`).
 
-The attach/commit/reset lifecycle is the permutation instantiation of the
-generic :class:`repro.evaluation.IncrementalEvaluator` contract — the SAT
-clause state (:mod:`repro.sat.incremental`) is the other instantiation, and
-the solvers select between incremental and batch paths through the shared
-:mod:`repro.evaluation` plumbing.
+A delta evaluator is immutable per problem instance: all mutable run state
+lives in the :class:`DeltaState` that :meth:`DeltaEvaluator.attach` builds,
+so one evaluator serves every run on the instance.  A restart or partial
+reset attaches a fresh state.  :class:`~repro.solvers.adaptive_search.AdaptiveSearch`
+chooses between the kernel and the batch oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.csp.model import CSP
-from repro.evaluation import IncrementalEvaluator, IncrementalState
 
 __all__ = [
     "CSPPermutationAdapter",
@@ -71,7 +70,7 @@ def multiset_delta(counts: np.ndarray, removed: Sequence[int], added: Sequence[i
     return delta
 
 
-class DeltaState(IncrementalState):
+class DeltaState:
     """Mutable incremental-evaluation state bound to one configuration.
 
     Attributes
@@ -92,7 +91,7 @@ class DeltaState(IncrementalState):
         self.cost = cost
 
 
-class DeltaEvaluator(IncrementalEvaluator):
+class DeltaEvaluator(abc.ABC):
     """Incremental (delta) evaluation of the swap neighbourhood.
 
     Contract, for a ``state`` attached to permutation ``p`` with exact cost
@@ -104,9 +103,7 @@ class DeltaEvaluator(IncrementalEvaluator):
       bit-identical decisions to one consuming the batched
       :meth:`PermutationProblem.swap_costs` oracle;
     * :meth:`commit_swap` applies one swap and updates the counters and
-      :attr:`DeltaState.cost` in O(size);
-    * :meth:`reset` rebinds the state to an arbitrary new configuration
-      (used after partial resets and restarts).
+      :attr:`DeltaState.cost` in O(size).
     """
 
     def __init__(self, problem: "PermutationProblem") -> None:

@@ -342,8 +342,10 @@ def run_race(
     """Race ``n_walks`` independent walks; the first solved walk wins.
 
     As soon as a solved walk arrives, outstanding walks are cancelled
-    (threads: pending futures dropped; processes: pool terminated).  If
-    every walk exhausts its budget unsolved, the winner is the walk with the
+    (threads: pending futures dropped; processes: pool terminated).  Not
+    every backend races, though: ``serial`` completes walks in index order
+    and ``lockstep`` runs every walk of a block before yielding any, so on
+    both the winner is the lowest-index solved walk.  If every walk exhausts its budget unsolved, the winner is the walk with the
     fewest iterations, ties broken by lowest index — a deterministic rule
     regardless of completion order.
     """

@@ -5,7 +5,7 @@ single-run tasks; parallelism, where any, comes from running *tasks*
 concurrently.  :class:`LockstepBackend` exploits a different axis: when
 every task in a block runs the *same* algorithm instance and that
 algorithm can advance many walks per step (``run_lockstep`` +
-``lockstep_supported``, see :func:`repro.evaluation.supports_lockstep`),
+``lockstep_supported``, see :func:`supports_lockstep`),
 the whole block is serviced by one vectorised kernel call
 (:mod:`repro.sat.vectorized`) instead of N scalar loops — SIMD batching in
 one process rather than task parallelism across processes.
@@ -27,9 +27,32 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.backends import BatchExecutor
 from repro.engine.tasks import RunTask, execute_run
-from repro.evaluation import supports_lockstep
 
-__all__ = ["LockstepBackend"]
+__all__ = ["LockstepBackend", "supports_lockstep"]
+
+
+def supports_lockstep(algorithm) -> bool:
+    """Whether the engine may service this algorithm's seed-blocks in lockstep.
+
+    True when the algorithm exposes the lockstep entry points — a
+    ``run_lockstep(seeds)`` batch runner plus a ``lockstep_supported()``
+    probe — and the probe accepts the current configuration (e.g. WalkSAT
+    with an SKC-family policy; the Novelty family reports ``False`` and
+    stays on the scalar path).  Algorithms without the entry points are
+    simply not lockstep-capable; it is not an error.
+
+    Lockstep is deliberately *not* one of the solvers' ``evaluation``
+    modes (:data:`repro.solvers.base.EVALUATION_MODES`): a per-run mode
+    answers "how does ONE walk evaluate its moves", whereas lockstep
+    batches a whole block of walks into one kernel call, so it lives
+    behind the execution engine seam instead (``--backend lockstep``).
+    """
+    probe = getattr(algorithm, "lockstep_supported", None)
+    return (
+        callable(getattr(algorithm, "run_lockstep", None))
+        and callable(probe)
+        and bool(probe())
+    )
 
 
 class LockstepBackend(BatchExecutor):

@@ -21,13 +21,7 @@ from repro.sat.generators import (
     random_ksat,
     random_planted_ksat,
 )
-from repro.sat.incremental import (
-    BatchClausePath,
-    ClauseEvaluator,
-    ClausePath,
-    ClauseState,
-    IncrementalClausePath,
-)
+from repro.sat.incremental import BatchClausePath, ClauseEvaluator, IncrementalClausePath
 from repro.sat.vectorized import LockstepClauseState, LockstepEvaluator
 
 __all__ = [
@@ -35,8 +29,6 @@ __all__ = [
     "CNFFormula",
     "Clause",
     "ClauseEvaluator",
-    "ClausePath",
-    "ClauseState",
     "DEFAULT_INSTANCE",
     "IncrementalClausePath",
     "LockstepClauseState",

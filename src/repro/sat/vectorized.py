@@ -21,8 +21,8 @@ with ``seeds[i]``) through *exactly* the call sequence of
 redraw per restart.  Only the surrounding arithmetic is batched; the RNG
 streams, the unsatisfied-set orderings (same
 removals-then-additions-ascending edit rules as
-:class:`~repro.sat.incremental.ClauseState`) and therefore the flip
-sequences, restart cadences and solutions are the scalar ones, pinned by
+:class:`~repro.sat.incremental.IncrementalClausePath`) and therefore the
+flip sequences, restart cadences and solutions are the scalar ones, pinned by
 ``tests/sat/test_vectorized.py``.  Walks retire from the batch as they
 solve or exhaust ``max_flips``; the survivors keep stepping.
 
@@ -158,9 +158,9 @@ class LockstepClauseState:
     unsat_list / unsat_pos:
         The per-walk unsatisfied-clause sets, one entry per walk,
         maintained with the *same* deterministic edit rules as the scalar
-        :class:`~repro.sat.incremental.ClauseState` (swap-remove with a
-        position table; removals before additions, each in ascending
-        clause order) so that for a given RNG rank both paths present the
+        :class:`~repro.sat.incremental.IncrementalClausePath` (swap-remove
+        with a position table; removals before additions, each in
+        ascending clause order) so that for a given RNG rank both paths present the
         same clause.  Unlike the dense numeric state these are plain
         Python int lists: the edits are scalar and sequential per walk
         (one or two per transition), where list indexing beats numpy
@@ -188,7 +188,7 @@ class LockstepClauseState:
     def n_walks(self) -> int:
         return self.assignment.shape[0]
 
-    # -- per-walk unsatisfied-set surface (mirrors ClauseState) --------
+    # -- per-walk unsatisfied-set surface (mirrors IncrementalClausePath)
     def n_unsat(self, walk: int) -> int:
         """Number of unsatisfied clauses of one walk."""
         return len(self.unsat_list[walk])
@@ -218,9 +218,9 @@ class LockstepClauseState:
     def remove_clause(self, walk: int, clause: int) -> None:
         """Remove a newly-satisfied clause from one walk (swap-remove).
 
-        Same element moves as ``ClauseState.apply_transitions``: the last
-        entry replaces the removed one (a no-op self-move when the removed
-        entry *is* the last), keeping set orderings bit-identical.
+        Same element moves as ``IncrementalClausePath.apply_transitions``:
+        the last entry replaces the removed one (a no-op self-move when the
+        removed entry *is* the last), keeping set orderings bit-identical.
         """
         row = self.unsat_list[walk]
         positions = self.unsat_pos[walk]
@@ -235,7 +235,7 @@ class LockstepClauseState:
         """Commit one walk's flip transitions in the canonical order.
 
         Removals before additions, each ascending — byte-compatible with
-        :meth:`repro.sat.incremental.ClauseState.apply_transitions`.
+        :meth:`repro.sat.incremental.IncrementalClausePath.apply_transitions`.
         """
         for clause in became_sat:
             self.remove_clause(walk, int(clause))
@@ -267,7 +267,7 @@ class LockstepClauseState:
 
         Padded occurrence lanes have ``current == 0`` and never satisfy
         ``current > 0``, so no masking is required; each entry equals the
-        scalar :meth:`ClauseEvaluator.break_count` exactly.
+        scalar :meth:`IncrementalClausePath.break_count` exactly.
         """
         evaluator = self.evaluator
         assigned = self.assignment[walks, variables][:, None]

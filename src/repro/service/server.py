@@ -273,7 +273,14 @@ class CampaignServer:
         token: str | None = None,
     ) -> None:
         self.manager = manager
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        try:
+            self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        except OSError as exc:
+            # Name the address, as socket.create_server (the coordinator's
+            # bind) does: a bare "Address already in use" names no port.
+            raise OSError(
+                exc.errno, f"{exc.strerror} (while attempting to bind on address {(host, port)!r})"
+            ) from None
         self._httpd.daemon_threads = True
         self._httpd.manager = manager  # type: ignore[attr-defined]
         self._httpd.auth_token = token  # type: ignore[attr-defined]

@@ -33,13 +33,13 @@ culprit.  Two interchangeable evaluation paths provide it:
 
 Both paths produce bit-identical costs and variable errors, so a given seed
 yields the same run (solved flag, iteration count, restarts, solution) on
-either; the equivalence is pinned by parametrised tests.  The path
-selection plumbing (mode validation, auto/incremental/batch resolution) is
-shared with :class:`~repro.solvers.walksat.WalkSAT` through
-:mod:`repro.evaluation`; in ``"auto"`` mode the measured per-problem
-crossover (``PermutationProblem.incremental_min_size``) decides whether the
-kernel is expected to beat the very cheap vectorised batch cost at this
-instance size.
+either; the equivalence is pinned by parametrised tests and by the
+recorded runs of ``tests/solvers/test_adaptive_search_pins.py``.  The
+``evaluation`` setting (see :data:`repro.solvers.base.EVALUATION_MODES`)
+picks the path; in ``"auto"`` mode the measured per-problem crossover
+(``PermutationProblem.incremental_min_size``) decides whether the kernel
+is expected to beat the very cheap vectorised batch cost at this instance
+size.
 """
 
 from __future__ import annotations
@@ -49,12 +49,7 @@ import dataclasses
 import numpy as np
 
 from repro.csp.permutation import DeltaEvaluator, PermutationProblem
-from repro.evaluation import (
-    EvaluationPath,
-    resolve_evaluation_path,
-    validate_evaluation_mode,
-)
-from repro.solvers.base import LasVegasAlgorithm, RunResult
+from repro.solvers.base import LasVegasAlgorithm, RunResult, validate_evaluation_mode
 
 __all__ = ["AdaptiveSearch", "AdaptiveSearchConfig"]
 
@@ -121,7 +116,7 @@ class AdaptiveSearchConfig:
         validate_evaluation_mode(self.evaluation)
 
 
-class _BatchEvaluation(EvaluationPath):
+class _BatchEvaluation:
     """Oracle path: full re-evaluation through ``cost_many`` batches."""
 
     def __init__(self, problem: PermutationProblem) -> None:
@@ -144,7 +139,7 @@ class _BatchEvaluation(EvaluationPath):
         self.cost = new_cost
 
 
-class _IncrementalEvaluation(EvaluationPath):
+class _IncrementalEvaluation:
     """Delta path: O(size) kernels over counters maintained across moves."""
 
     def __init__(self, evaluator: DeltaEvaluator) -> None:
@@ -157,10 +152,7 @@ class _IncrementalEvaluation(EvaluationPath):
         return self._state.perm
 
     def reinit(self, perm: np.ndarray) -> None:
-        if self._state is None:
-            self._state = self._evaluator.attach(perm)
-        else:
-            self._evaluator.reset(self._state, perm)
+        self._state = self._evaluator.attach(perm)
         self.cost = float(self._state.cost)
 
     def variable_errors(self) -> np.ndarray:
@@ -195,20 +187,22 @@ class AdaptiveSearch(LasVegasAlgorithm):
     # ------------------------------------------------------------------
     def _evaluation_path(self) -> _BatchEvaluation | _IncrementalEvaluation:
         problem = self.problem
+        mode = self.config.evaluation
         crossover = problem.incremental_min_size
-
-        def incremental() -> _IncrementalEvaluation | None:
-            evaluator = problem.delta_evaluator()
-            return None if evaluator is None else _IncrementalEvaluation(evaluator)
-
-        return resolve_evaluation_path(
-            self.config.evaluation,
-            describe=problem.describe(),
-            incremental=incremental,
-            batch=lambda: _BatchEvaluation(problem),
-            incremental_requirement="DeltaEvaluator",
-            prefer_incremental=crossover is None or problem.size >= crossover,
-        )
+        below_crossover = crossover is not None and problem.size < crossover
+        # Below the crossover "auto" takes the batch path without building
+        # the kernel, which can be the costly part at those sizes.
+        if mode == "batch" or (mode == "auto" and below_crossover):
+            return _BatchEvaluation(problem)
+        evaluator = problem.delta_evaluator()
+        if evaluator is not None:
+            return _IncrementalEvaluation(evaluator)
+        if mode == "incremental":
+            raise ValueError(
+                f"{problem.describe()} provides no DeltaEvaluator; "
+                "use evaluation='auto' or 'batch'"
+            )
+        return _BatchEvaluation(problem)
 
     def _partial_reset(self, perm: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Re-randomise a fraction of the positions (keeping a permutation)."""

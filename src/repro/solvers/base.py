@@ -6,6 +6,12 @@ package implements :class:`LasVegasAlgorithm`: a :meth:`run` method that
 executes one independent randomised run and reports a :class:`RunResult`
 with the cost measured both in iterations (machine-independent, the paper's
 preferred measure) and wall-clock seconds.
+
+Both local-search solvers take an ``evaluation`` setting,
+:data:`EVALUATION_MODES`, that picks how their hot loop evaluates moves:
+``"auto"`` lets the solver choose, ``"incremental"`` demands its
+counter-maintained kernel and ``"batch"`` forces the from-scratch oracle.
+Both paths yield bit-identical runs; the choice only affects speed.
 """
 
 from __future__ import annotations
@@ -17,7 +23,17 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["LasVegasAlgorithm", "RunResult"]
+__all__ = ["EVALUATION_MODES", "LasVegasAlgorithm", "RunResult", "validate_evaluation_mode"]
+
+#: Accepted values of the ``evaluation`` attribute of the local-search
+#: solver configs.
+EVALUATION_MODES: tuple[str, ...] = ("auto", "incremental", "batch")
+
+
+def validate_evaluation_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` is a known evaluation mode."""
+    if mode not in EVALUATION_MODES:
+        raise ValueError(f"evaluation must be one of {EVALUATION_MODES}, got {mode!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,7 +29,7 @@ on either evaluation path:
 Determinism contract
 --------------------
 Policies consult the clause state only through the
-:class:`~repro.sat.incremental.ClausePath` queries (``break_count``,
+:class:`~repro.sat.incremental.IncrementalClausePath` queries (``break_count``,
 ``make_count``, ``n_unsat``), which the incremental and batch paths answer
 identically, and they consume RNG draws in a state-independent order.  A
 policy therefore produces bit-identical flip sequences on either path — the
@@ -47,7 +47,7 @@ import abc
 
 import numpy as np
 
-from repro.sat.incremental import ClausePath
+from repro.sat.incremental import IncrementalClausePath
 
 __all__ = [
     "POLICIES",
@@ -82,22 +82,24 @@ class FlipPolicy(abc.ABC):
     state) back, so stateful policies can track ages and progress.
     """
 
-    def start(self, path: ClausePath) -> None:
+    def start(self, path: IncrementalClausePath) -> None:
         """Bind to a freshly initialised clause state (run start)."""
 
-    def restart(self, path: ClausePath) -> None:
+    def restart(self, path: IncrementalClausePath) -> None:
         """Re-bind after a restart (default: same as a fresh start)."""
         self.start(path)
 
     @abc.abstractmethod
-    def pick(self, path: ClausePath, variables: list[int], rng: np.random.Generator) -> int:
+    def pick(
+        self, path: IncrementalClausePath, variables: list[int], rng: np.random.Generator
+    ) -> int:
         """Variable (0-based) of ``variables`` to flip under this policy.
 
         ``variables`` is the picked clause's row of the formula's shared
         ``ClauseEvaluator.clause_variables`` table: read it, never mutate it.
         """
 
-    def notify_flip(self, variable: int, flip_number: int, path: ClausePath) -> None:
+    def notify_flip(self, variable: int, flip_number: int, path: IncrementalClausePath) -> None:
         """Observe a committed flip and the post-flip clause state."""
 
 
@@ -128,7 +130,7 @@ def skc_select(breaks, rng: np.random.Generator, noise: float) -> int:
 
 
 def _skc_pick(
-    path: ClausePath, variables: list[int], rng: np.random.Generator, noise: float
+    path: IncrementalClausePath, variables: list[int], rng: np.random.Generator, noise: float
 ) -> int:
     """The WalkSAT/SKC selection rule at a given noise level.
 
@@ -146,7 +148,9 @@ class WalkSATPolicy(FlipPolicy):
     def __init__(self, noise: float) -> None:
         self.noise = noise
 
-    def pick(self, path: ClausePath, variables: list[int], rng: np.random.Generator) -> int:
+    def pick(
+        self, path: IncrementalClausePath, variables: list[int], rng: np.random.Generator
+    ) -> int:
         return _skc_pick(path, variables, rng, self.noise)
 
 
@@ -167,11 +171,13 @@ class NoveltyPolicy(FlipPolicy):
         self.noise = noise
         self._last_flip = [-1] * n_variables
 
-    def start(self, path: ClausePath) -> None:
+    def start(self, path: IncrementalClausePath) -> None:
         # Ages refer to the current trajectory; a restart voids them.
         self._last_flip = [-1] * len(self._last_flip)
 
-    def pick(self, path: ClausePath, variables: list[int], rng: np.random.Generator) -> int:
+    def pick(
+        self, path: IncrementalClausePath, variables: list[int], rng: np.random.Generator
+    ) -> int:
         if len(variables) == 1:
             return variables[0]
         last_flip = self._last_flip
@@ -189,7 +195,7 @@ class NoveltyPolicy(FlipPolicy):
             return variables[ranked[1][2]]
         return best
 
-    def notify_flip(self, variable: int, flip_number: int, path: ClausePath) -> None:
+    def notify_flip(self, variable: int, flip_number: int, path: IncrementalClausePath) -> None:
         self._last_flip[variable] = flip_number
 
 
@@ -200,7 +206,9 @@ class NoveltyPlusPolicy(NoveltyPolicy):
         super().__init__(noise, n_variables)
         self.walk_probability = walk_probability
 
-    def pick(self, path: ClausePath, variables: list[int], rng: np.random.Generator) -> int:
+    def pick(
+        self, path: IncrementalClausePath, variables: list[int], rng: np.random.Generator
+    ) -> int:
         # The walk draw is taken unconditionally (before any state-dependent
         # branch), keeping RNG consumption identical on both paths.
         if rng.random() < self.walk_probability:
@@ -232,14 +240,16 @@ class AdaptiveNoisePolicy(FlipPolicy):
         self._best = 0
         self._flips_since_best = 0
 
-    def start(self, path: ClausePath) -> None:
+    def start(self, path: IncrementalClausePath) -> None:
         self._best = path.n_unsat
         self._flips_since_best = 0
 
-    def pick(self, path: ClausePath, variables: list[int], rng: np.random.Generator) -> int:
+    def pick(
+        self, path: IncrementalClausePath, variables: list[int], rng: np.random.Generator
+    ) -> int:
         return _skc_pick(path, variables, rng, self.noise)
 
-    def notify_flip(self, variable: int, flip_number: int, path: ClausePath) -> None:
+    def notify_flip(self, variable: int, flip_number: int, path: IncrementalClausePath) -> None:
         if path.n_unsat < self._best:
             self._best = path.n_unsat
             self._flips_since_best = 0

@@ -18,19 +18,21 @@ Shared skeleton (every policy):
 
 Evaluation paths
 ----------------
-The hot loop consumes a :class:`~repro.sat.incremental.ClausePath` — either
-the *incremental* clause state (per-formula flat ``list[int]`` tables of
-break candidates, make clauses and count deltas, and per-run true-literal
-counts, O(occurrences of the flipped variable) of plain Python per flip)
-or the *batch* oracle (full re-evaluation through the vectorised
-:class:`~repro.sat.cnf.CNFFormula` methods).  The two are exact mirrors:
+The hot loop consumes one of two path objects of
+:mod:`repro.sat.incremental`.  :class:`~repro.sat.incremental.IncrementalClausePath`
+keeps per-run true-literal counts over the formula's shared flat
+``list[int]`` tables of break candidates, make clauses and count deltas,
+at O(occurrences of the flipped variable) of plain Python per flip.
+:class:`~repro.sat.incremental.BatchClausePath` is the oracle: the same
+object with every query re-evaluated through the vectorised
+:class:`~repro.sat.cnf.CNFFormula` methods.  The two are exact mirrors:
 for a given seed and policy they present the same clause for the same RNG
 draw and produce bit-identical flip sequences, solutions and restart
 counts — the same contract :class:`~repro.solvers.adaptive_search.AdaptiveSearch`
-pins for its delta kernels (see :mod:`repro.evaluation`).  Policies only
-query the path surface (``break_count``/``make_count``/``n_unsat``), which
-is what extends the contract to the whole variant family.  Either way the
-picked clause's variables come from the formula's precomputed
+pins for its delta kernels.  Policies only query the path surface
+(``break_count``/``make_count``/``n_unsat``), which is what extends the
+contract to the whole variant family.  Either way the picked clause's
+variables come from the formula's precomputed
 ``ClauseEvaluator.clause_variables`` table, not from its literals.
 """
 
@@ -40,11 +42,10 @@ import dataclasses
 
 import numpy as np
 
-from repro.evaluation import resolve_evaluation_path, validate_evaluation_mode
 from repro.sat import vectorized
 from repro.sat.cnf import CNFFormula
-from repro.sat.incremental import BatchClausePath, ClausePath, IncrementalClausePath
-from repro.solvers.base import LasVegasAlgorithm, RunResult
+from repro.sat.incremental import BatchClausePath, IncrementalClausePath
+from repro.solvers.base import LasVegasAlgorithm, RunResult, validate_evaluation_mode
 from repro.solvers.policies import FlipPolicy, make_policy, validate_policy
 
 __all__ = ["RESTART_SCHEDULES", "WalkSAT", "WalkSATConfig"]
@@ -146,14 +147,12 @@ class WalkSAT(LasVegasAlgorithm):
         self.name = f"walksat[{formula.n_variables}v/{formula.n_clauses}c]{suffix}"
 
     # ------------------------------------------------------------------
-    def _clause_path(self) -> ClausePath:
-        return resolve_evaluation_path(
-            self.config.evaluation,
-            describe=self.name,
-            incremental=lambda: IncrementalClausePath(self.formula.clause_evaluator()),
-            batch=lambda: BatchClausePath(self.formula),
-            incremental_requirement="incremental ClauseEvaluator",
-        )
+    def _clause_path(self) -> IncrementalClausePath:
+        # Every formula has the incremental tables, so "auto" and
+        # "incremental" both take them.
+        if self.config.evaluation == "batch":
+            return BatchClausePath(self.formula)
+        return IncrementalClausePath(self.formula)
 
     def _make_policy(self) -> FlipPolicy:
         """Fresh per-run policy object (policies are stateful)."""

@@ -105,20 +105,6 @@ class TestDeltaKernelExactness:
             assert float(state.cost) == problem.cost(state.perm)
             assert problem.check_permutation(state.perm)
 
-    def test_reset_rebinds_state(self, factory):
-        problem = factory()
-        evaluator = problem.delta_evaluator()
-        rng = np.random.default_rng(5)
-        state = evaluator.attach(problem.random_configuration(rng))
-        evaluator.commit_swap(state, 0, problem.size - 1)
-        fresh = problem.random_configuration(rng)
-        evaluator.reset(state, fresh)
-        np.testing.assert_array_equal(state.perm, fresh)
-        assert float(state.cost) == problem.cost(fresh)
-        # and the reset state keeps producing exact deltas
-        oracle = problem.swap_costs(state.perm, 0)
-        np.testing.assert_array_equal(float(state.cost) + evaluator.swap_deltas(state, 0), oracle)
-
     def test_evaluator_is_cached_per_problem(self, factory):
         problem = factory()
         assert problem.delta_evaluator() is problem.delta_evaluator()

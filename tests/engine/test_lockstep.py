@@ -12,8 +12,8 @@ import pytest
 
 from repro.csp.problems import NQueensProblem
 from repro.engine import LockstepBackend, collect_batch, resolve_backend, run_race
+from repro.engine.lockstep import supports_lockstep
 from repro.engine.tasks import execute_run
-from repro.evaluation import supports_lockstep
 from repro.sat import random_planted_ksat
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.walksat import WalkSAT, WalkSATConfig

@@ -55,63 +55,62 @@ class TestClauseEvaluatorExactness:
     def test_counts_exact_after_random_walk(self, seed, family):
         formula = FORMULAS[family](seed)
         rng = np.random.default_rng(1000 + seed)
-        evaluator = formula.clause_evaluator()
-        assignment = formula.random_assignment(rng)
-        state = evaluator.attach(assignment)
+        path = IncrementalClausePath(formula)
+        path.reinit(formula.random_assignment(rng))
         for step in range(200):
             variable = int(rng.integers(formula.n_variables))
-            evaluator.flip(state, variable)
+            path.flip(variable)
             if step % 50 == 49:  # occasional reset, as restarts do
-                evaluator.reset(state, formula.random_assignment(rng))
+                path.reinit(formula.random_assignment(rng))
         np.testing.assert_array_equal(
-            state.true_counts, formula.true_literal_counts(state.assignment)
+            path.true_counts, formula.true_literal_counts(path.assignment)
         )
-        assert sorted(state.unsat_list) == list(
-            formula.unsatisfied_clauses(state.assignment)
+        assert sorted(path.unsat_list) == list(
+            formula.unsatisfied_clauses(path.assignment)
         )
-        assert state.cost == formula.count_unsatisfied(state.assignment)
+        assert path.n_unsat == formula.count_unsatisfied(path.assignment)
 
     @pytest.mark.parametrize("family", list(FORMULAS))
     @pytest.mark.parametrize("seed", range(3))
     def test_break_and_make_counts_match_oracle(self, seed, family):
         formula = FORMULAS[family](seed, n_variables=15, n_clauses=60)
         rng = np.random.default_rng(2000 + seed)
-        evaluator = formula.clause_evaluator()
-        state = evaluator.attach(formula.random_assignment(rng))
+        path = IncrementalClausePath(formula)
+        path.reinit(formula.random_assignment(rng))
         for _ in range(40):
-            evaluator.flip(state, int(rng.integers(formula.n_variables)))
+            path.flip(int(rng.integers(formula.n_variables)))
             for variable in range(formula.n_variables):
-                assert evaluator.break_count(state, variable) == formula.break_count(
-                    state.assignment, variable
+                assert path.break_count(variable) == formula.break_count(
+                    path.assignment, variable
                 )
-                assert evaluator.make_count(state, variable) == formula.make_count(
-                    state.assignment, variable
+                assert path.make_count(variable) == formula.make_count(
+                    path.assignment, variable
                 )
 
     def test_duplicate_literals_and_tautologies(self):
         # (1 1), (1 -1), (-2 -2 1): duplicate and tautological clauses must
         # be counted per literal slot, exactly as true_literal_counts does.
         formula = CNFFormula(2, [(1, 1), (1, -1), (-2, -2, 1)])
-        evaluator = formula.clause_evaluator()
+        path = IncrementalClausePath(formula)
         for bits in ((False, False), (False, True), (True, False), (True, True)):
             assignment = np.array(bits)
-            state = evaluator.attach(assignment)
+            path.reinit(assignment)
             np.testing.assert_array_equal(
-                state.true_counts, formula.true_literal_counts(assignment)
+                path.true_counts, formula.true_literal_counts(assignment)
             )
             for variable in range(2):
-                assert evaluator.break_count(state, variable) == formula.break_count(
+                assert path.break_count(variable) == formula.break_count(
                     assignment, variable
                 )
-                assert evaluator.make_count(state, variable) == formula.make_count(
+                assert path.make_count(variable) == formula.make_count(
                     assignment, variable
                 )
         # ... and stay exact across flips.
-        state = evaluator.attach(np.array([False, False]))
+        path.reinit(np.array([False, False]))
         for variable in (0, 1, 0, 0, 1):
-            evaluator.flip(state, variable)
+            path.flip(variable)
             np.testing.assert_array_equal(
-                state.true_counts, formula.true_literal_counts(state.assignment)
+                path.true_counts, formula.true_literal_counts(path.assignment)
             )
 
     def test_evaluator_is_memoised_and_unpickled(self):
@@ -122,9 +121,11 @@ class TestClauseEvaluatorExactness:
         clone = pickle.loads(pickle.dumps(formula))
         # The memo is derived state: dropped from pickles, rebuilt on demand.
         assert getattr(clone, "_clause_evaluator", None) is None
-        assert clone.clause_evaluator().break_count(
-            clone.clause_evaluator().attach(np.zeros(formula.n_variables, dtype=bool)), 0
-        ) == formula.break_count(np.zeros(formula.n_variables, dtype=bool), 0)
+        path = IncrementalClausePath(clone)
+        path.reinit(np.zeros(formula.n_variables, dtype=bool))
+        assert path.break_count(0) == formula.break_count(
+            np.zeros(formula.n_variables, dtype=bool), 0
+        )
 
     def test_pickle_unchanged_by_evaluator_memo(self):
         import pickle
@@ -146,7 +147,7 @@ class TestPathOrderingInvariant:
         else:
             formula = _multiset_formula(seed, n_variables=18, n_clauses=76)
         rng = np.random.default_rng(3000 + seed)
-        incremental = IncrementalClausePath(formula.clause_evaluator())
+        incremental = IncrementalClausePath(formula)
         batch = BatchClausePath(formula)
         assignment = formula.random_assignment(rng)
         incremental.reinit(assignment)

@@ -11,7 +11,7 @@ Two layers of pinning:
 * State-level bookkeeping: a hypothesis random walk of flips and restarts
   over :class:`LockstepClauseState` must keep every walk's counts, break/
   make scores and — crucially — the *internal ordering* of the maintained
-  unsatisfied set equal to the scalar :class:`ClauseEvaluator`'s, because
+  unsatisfied set equal to the scalar :class:`IncrementalClausePath`'s, because
   the clause pick consumes an RNG rank into exactly that ordering.
 """
 
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.sat import (
     CNFFormula,
+    IncrementalClausePath,
     LockstepEvaluator,
     load_bundled_instance,
     random_ksat,
@@ -172,14 +173,15 @@ _formulas = st.sampled_from(
 def test_lockstep_state_matches_scalar_evaluator(formula, n_walks, seed, steps):
     """Random walk of flips/restarts: every maintained quantity — counts,
     break/make scores, and the unsatisfied set *in internal order* — must
-    stay equal between LockstepClauseState and one ClauseEvaluator state
+    stay equal between LockstepClauseState and one IncrementalClausePath
     per walk driven through the identical edit sequence."""
     rng = np.random.default_rng(seed)
     evaluator = LockstepEvaluator(formula)
-    scalar = formula.clause_evaluator()
     assignments = np.stack([formula.random_assignment(rng) for _ in range(n_walks)])
     state = evaluator.attach(assignments)
-    oracle = [scalar.attach(assignments[walk].copy()) for walk in range(n_walks)]
+    oracle = [IncrementalClausePath(formula) for _ in range(n_walks)]
+    for walk, path in enumerate(oracle):
+        path.reinit(assignments[walk].copy())
 
     def check() -> None:
         for walk in range(n_walks):
@@ -197,12 +199,8 @@ def test_lockstep_state_matches_scalar_evaluator(formula, n_walks, seed, steps):
         makes = state.make_counts(walks, variables).reshape(n_walks, -1)
         for walk in range(n_walks):
             for variable in range(formula.n_variables):
-                assert breaks[walk, variable] == scalar.break_count(
-                    oracle[walk], variable
-                )
-                assert makes[walk, variable] == scalar.make_count(
-                    oracle[walk], variable
-                )
+                assert breaks[walk, variable] == oracle[walk].break_count(variable)
+                assert makes[walk, variable] == oracle[walk].make_count(variable)
 
     check()
     for value, restart in steps:
@@ -210,7 +208,7 @@ def test_lockstep_state_matches_scalar_evaluator(formula, n_walks, seed, steps):
             walk = value % n_walks
             fresh = formula.random_assignment(rng)
             state.reinit_walk(walk, fresh)
-            scalar.reset(oracle[walk], fresh.copy())
+            oracle[walk].reinit(fresh.copy())
         else:
             # One batched flip of a (possibly repeated) variable per walk.
             variables = np.array(
@@ -219,5 +217,5 @@ def test_lockstep_state_matches_scalar_evaluator(formula, n_walks, seed, steps):
             )
             state.flip(np.arange(n_walks), variables)
             for walk in range(n_walks):
-                scalar.flip(oracle[walk], int(variables[walk]))
+                oracle[walk].flip(int(variables[walk]))
         check()

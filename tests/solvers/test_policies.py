@@ -192,7 +192,7 @@ class TestDegenerateNoise:
         from repro.sat.incremental import IncrementalClausePath
 
         policy = NoveltyPolicy(noise=1.0, n_variables=3)
-        path = IncrementalClausePath(formula.clause_evaluator())
+        path = IncrementalClausePath(formula)
         path.reinit(formula.random_assignment(np.random.default_rng(0)))
         policy.start(path)
         rng = np.random.default_rng(0)
@@ -248,7 +248,7 @@ class TestAdaptiveNoiseDynamics:
         policy = solver._make_policy()
         from repro.sat.incremental import IncrementalClausePath
 
-        path = IncrementalClausePath(formula.clause_evaluator())
+        path = IncrementalClausePath(formula)
         rng = np.random.default_rng(0)
         path.reinit(formula.random_assignment(rng))
         policy.start(path)

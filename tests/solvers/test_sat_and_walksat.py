@@ -173,14 +173,11 @@ class TestEvaluationPathEquivalence:
         from repro.sat.incremental import BatchClausePath, IncrementalClausePath
 
         formula, _ = random_planted_ksat(20, 84, rng=np.random.default_rng(0))
-        assert isinstance(
-            WalkSAT(formula, WalkSATConfig(evaluation="auto"))._clause_path(),
-            IncrementalClausePath,
-        )
-        assert isinstance(
-            WalkSAT(formula, WalkSATConfig(evaluation="batch"))._clause_path(),
-            BatchClausePath,
-        )
+        # BatchClausePath subclasses IncrementalClausePath: compare exact types.
+        auto = WalkSAT(formula, WalkSATConfig(evaluation="auto"))._clause_path()
+        batch = WalkSAT(formula, WalkSATConfig(evaluation="batch"))._clause_path()
+        assert type(auto) is IncrementalClausePath
+        assert type(batch) is BatchClausePath
 
     def test_auto_matches_explicit_incremental(self):
         formula, _ = random_planted_ksat(30, 126, rng=np.random.default_rng(1))

@@ -168,6 +168,7 @@ def test_bad_input_exits_2_with_one_error_line(argv, values, tmp_path, capsys):
     if values is not None:
         path.write_text(values)
     # ``{busy}`` is a port another socket is listening on.
+    binds_busy_port = any("{busy}" in arg for arg in argv)
     with socket.create_server(("127.0.0.1", 0)) as busy:
         port = busy.getsockname()[1]
         argv = [a.format(values=path, missing=tmp_path / "missing.txt", busy=port) for a in argv]
@@ -175,6 +176,9 @@ def test_bad_input_exits_2_with_one_error_line(argv, values, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if binds_busy_port:
+        # The bind error names the address it could not take.
+        assert f", {port})" in err, err
 
 
 def test_runs_zero_is_rejected_not_ignored(capsys):

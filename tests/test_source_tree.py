@@ -10,10 +10,15 @@ code.  This module keeps that class of rot from coming back:
   instances) are exempt;
 * no package may consist of a single zero-byte ``__init__.py``;
 * every top-level public function or class in ``src/`` is named by some
-  code other than the tests (see :data:`TEST_ONLY_ALLOWLIST`).
+  code other than the tests (see :data:`TEST_ONLY_ALLOWLIST`);
+* every fully-qualified ``repro.`` name a docstring role or a doc page
+  points at still exists, so a rename or deletion cannot leave stale
+  references behind.
 """
 
 import ast
+import importlib
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -174,3 +179,70 @@ def test_guard_skips_private_and_init_definitions(tmp_path):
     assert _public_definitions(src) == {"exported": 1}
     # The re-export in __init__ is not a caller.
     assert _test_only_names(src, callers=[], allowlist={}) == ["exported"]
+
+
+#: A Sphinx cross-reference role whose target is a fully-qualified
+#: ``repro.`` name (``~`` only shortens the rendered text).
+_ROLE_REFERENCE = re.compile(r":(?:mod|class|func|meth|attr|data|exc):`~?(repro(?:\.\w+)+)`")
+
+#: A backticked ``repro.`` dotted path in the prose docs, optionally
+#: written as a call (```repro.recipes.load_bundled_recipe(name)```).
+_DOC_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path inside one.
+
+    The longest prefix that imports is the module; ``getattr`` must find
+    every remaining part.
+    """
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def _references(paths, pattern) -> list[tuple[str, str]]:
+    return [
+        (str(path.relative_to(ROOT)), match.group(1))
+        for path in paths
+        for match in pattern.finditer(path.read_text(encoding="utf-8"))
+    ]
+
+
+def _stale(references) -> list[str]:
+    return sorted({f"{where}: {name}" for where, name in references if not _resolves(name)})
+
+
+def test_docstring_cross_references_resolve():
+    """Every ``:role:`repro.…``` target in ``src/`` names something real."""
+    references = _references(_python_files(SRC, skip_init=False), _ROLE_REFERENCE)
+    assert references, "no cross-references found: the pattern is broken"
+    stale = _stale(references)
+    assert stale == [], f"docstring references to names that do not exist: {stale}"
+
+
+def test_doc_dotted_paths_resolve():
+    """Every backticked ``repro.…`` path in README.md and docs/ names something real."""
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    references = _references(docs, _DOC_REFERENCE)
+    assert references, "no dotted paths found: the pattern is broken"
+    stale = _stale(references)
+    assert stale == [], f"doc references to names that do not exist: {stale}"
+
+
+def test_reference_guard_flags_a_stale_name():
+    text = "See :class:`~repro.solvers.base.RunResult` and :mod:`repro.nowhere`."
+    found = [match.group(1) for match in _ROLE_REFERENCE.finditer(text)]
+    assert found == ["repro.solvers.base.RunResult", "repro.nowhere"]
+    assert _resolves("repro.solvers.base.RunResult.cost")
+    assert not _resolves("repro.nowhere")
+    assert not _resolves("repro.solvers.base.NoSuchClass")
